@@ -16,7 +16,7 @@ use dqep_algebra::{CompareOp, JoinPred, PhysicalOp, SelectPred};
 use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Cost, Environment, PlanStats};
-use dqep_executor::{execute_plan_mode, ExecMode, ResourceLimits};
+use dqep_executor::{execute, ExecContext, ExecMode, Sink};
 use dqep_harness::{paper_query, BindingSampler};
 use dqep_interval::Interval;
 use dqep_plan::{PlanNode, PlanNodeBuilder};
@@ -52,17 +52,19 @@ impl ExecBenchCase {
     /// Panics if execution fails — benchmark plans run ungoverned against
     /// fault-free storage, so failure is a bug.
     pub fn run(&self, mode: ExecMode) -> u64 {
-        let (summary, _) = execute_plan_mode(
+        let ctx = ExecContext::default().with_mode(mode);
+        execute(
             &self.plan,
             &self.db,
             &self.catalog,
             &self.env,
             &self.bindings,
-            ResourceLimits::unlimited(),
-            mode,
+            &ctx,
+            Sink::Count,
         )
-        .expect("benchmark plan must execute");
-        summary.rows
+        .expect("benchmark plan must execute")
+        .summary
+        .rows
     }
 
     /// Times `iters` executions and averages.

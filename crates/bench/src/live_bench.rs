@@ -21,8 +21,7 @@ use std::time::Instant;
 use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep_core::Optimizer;
 use dqep_cost::Environment;
-use dqep_executor::{compile_plan, drain, ExecContext, SharedCounters};
-use dqep_plan::evaluate_startup;
+use dqep_executor::{execute, ExecContext, Sink};
 use dqep_service::{LiveConfig, LiveViewRegistry, MetricsRegistry, WriteOp};
 use dqep_sql::parse_query;
 use dqep_storage::StoredDatabase;
@@ -157,11 +156,18 @@ impl LiveBenchCase {
             rearbitrations += outcome.rearbitrations;
 
             let t = Instant::now();
-            let startup = evaluate_startup(&plan, reg.catalog(), &full_env, &bindings);
-            let ctx = ExecContext::new(SharedCounters::new());
-            let mut op = compile_plan(&startup.resolved, reg.database(), reg.catalog(), &bindings, 1 << 24, &ctx)
-                .expect("full re-run compiles");
-            let mut rows = drain(op.as_mut()).expect("full re-run executes");
+            let ctx = ExecContext::default();
+            let mut rows = execute(
+                &plan,
+                reg.database(),
+                reg.catalog(),
+                &full_env,
+                &bindings,
+                &ctx,
+                Sink::Collect,
+            )
+            .expect("full re-run executes")
+            .rows;
             full += t.elapsed().as_secs_f64();
 
             rows.sort_unstable();

@@ -17,9 +17,7 @@ use dqep_algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
 use dqep_catalog::{make_chain_catalog, Catalog, CatalogBuilder, SyntheticSpec, SystemConfig};
 use dqep_cost::{Bindings, Environment};
 use dqep_core::Optimizer;
-use dqep_executor::{
-    execute_plan_dop, execute_plan_traced, ExecMode, ResourceLimits,
-};
+use dqep_executor::{execute, ExecContext, Execution, Sink, Tracer};
 use dqep_plan::PlanNode;
 use dqep_storage::StoredDatabase;
 
@@ -101,19 +99,11 @@ impl ObservabilityBenchCase {
     #[must_use]
     pub fn run_untraced(&self) -> ObsMeasurement {
         let started = Instant::now();
-        let (summary, _) = execute_plan_dop(
-            &self.plan,
-            &self.db,
-            &self.catalog,
-            &self.env,
-            &self.bindings,
-            ResourceLimits::unlimited(),
-            ExecMode::default(),
-            1,
-        )
-        .expect("untraced bench execution");
+        let exec = self
+            .run(&ExecContext::default())
+            .expect("untraced bench execution");
         ObsMeasurement {
-            rows: summary.rows,
+            rows: exec.summary.rows,
             millis: started.elapsed().as_secs_f64() * 1e3,
             spans: 0,
         }
@@ -127,22 +117,25 @@ impl ObservabilityBenchCase {
     #[must_use]
     pub fn run_traced(&self) -> ObsMeasurement {
         let started = Instant::now();
-        let (summary, _, report) = execute_plan_traced(
+        let ctx = ExecContext::default().with_tracer(Arc::new(Tracer::new()));
+        let exec = self.run(&ctx).expect("traced bench execution");
+        ObsMeasurement {
+            rows: exec.summary.rows,
+            millis: started.elapsed().as_secs_f64() * 1e3,
+            spans: exec.trace.map_or(0, |t| t.spans.len()),
+        }
+    }
+
+    fn run(&self, ctx: &ExecContext) -> Result<Execution, dqep_executor::ExecError> {
+        execute(
             &self.plan,
             &self.db,
             &self.catalog,
             &self.env,
             &self.bindings,
-            ResourceLimits::unlimited(),
-            ExecMode::default(),
-            1,
+            ctx,
+            Sink::Count,
         )
-        .expect("traced bench execution");
-        ObsMeasurement {
-            rows: summary.rows,
-            millis: started.elapsed().as_secs_f64() * 1e3,
-            spans: report.spans.len(),
-        }
     }
 }
 

@@ -18,7 +18,7 @@ use std::time::Instant;
 use dqep_algebra::{JoinPred, PhysicalOp};
 use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep_cost::{Bindings, Cost, Environment, PlanStats};
-use dqep_executor::{execute_plan_dop, ExecMode, ResourceLimits};
+use dqep_executor::{execute, ExecContext, Sink};
 use dqep_interval::Interval;
 use dqep_plan::{PlanNode, PlanNodeBuilder};
 use dqep_storage::StoredDatabase;
@@ -56,18 +56,19 @@ impl ParallelBenchCase {
     /// Panics if execution fails — benchmark plans run ungoverned against
     /// fault-free storage, so failure is a bug.
     pub fn run(&self, dop: usize) -> u64 {
-        let (summary, _) = execute_plan_dop(
+        let ctx = ExecContext::default().with_dop(dop);
+        execute(
             &self.plan,
             &self.db,
             &self.catalog,
             &self.env,
             &self.bindings,
-            ResourceLimits::unlimited(),
-            ExecMode::default(),
-            dop,
+            &ctx,
+            Sink::Count,
         )
-        .expect("benchmark plan must execute");
-        summary.rows
+        .expect("benchmark plan must execute")
+        .summary
+        .rows
     }
 
     /// Times `iters` executions at `dop` and averages.

@@ -1,6 +1,6 @@
 //! Mid-query re-optimization benchmark fixtures: the same query executed
 //! startup-only (arbitrate once at `open`, then commit) and with runtime
-//! checkpoints (`execute_plan_reopt`).
+//! checkpoints (`execute` with a `ReoptState` on the context).
 //!
 //! Shared by the `bench_reopt` binary that emits `BENCH_reopt.json`. The
 //! measurements gate on *simulated* seconds — the deterministic CPU + I/O
@@ -22,9 +22,7 @@ use dqep_algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
 use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
-use dqep_executor::{
-    execute_plan_mode, execute_plan_reopt, ExecMode, ReoptConfig, ReoptCounters, ResourceLimits,
-};
+use dqep_executor::{execute, ExecContext, ExecMode, ReoptConfig, ReoptCounters, ReoptState, Sink};
 use dqep_plan::PlanNode;
 use dqep_storage::{StoredDatabase, ValueDistribution};
 
@@ -73,42 +71,37 @@ impl ReoptBenchCase {
     /// are bugs (and parity is pinned down by `tests/reopt_parity.rs`).
     #[must_use]
     pub fn measure(&self) -> ReoptMeasurement {
-        let (summary, _) = execute_plan_mode(
-            &self.plan,
-            &self.db,
-            &self.catalog,
-            &self.env,
-            &self.bindings,
-            ResourceLimits::unlimited(),
-            ExecMode::Batch,
-        )
-        .expect("startup-only execution must succeed");
-        let outcome = execute_plan_reopt(
-            &self.plan,
-            &self.db,
-            &self.catalog,
-            &self.env,
-            &self.bindings,
-            ResourceLimits::unlimited(),
-            ExecMode::Batch,
-            1,
-            ReoptConfig {
-                backoff_base_ms: 0,
-                ..ReoptConfig::default()
-            },
-        )
-        .expect("re-optimizing execution must succeed");
+        let run = |ctx: ExecContext| {
+            let ctx = ctx.with_mode(ExecMode::Batch);
+            execute(
+                &self.plan,
+                &self.db,
+                &self.catalog,
+                &self.env,
+                &self.bindings,
+                &ctx,
+                Sink::Count,
+            )
+        };
+        let summary = run(ExecContext::default())
+            .expect("startup-only execution must succeed")
+            .summary;
+        let config = ReoptConfig {
+            backoff_base_ms: 0,
+            ..ReoptConfig::default()
+        };
+        let reopt = run(ExecContext::default().with_reopt(Arc::new(ReoptState::new(config))))
+            .expect("re-optimizing execution must succeed");
         assert_eq!(
-            summary.rows,
-            outcome.summary.rows,
+            summary.rows, reopt.summary.rows,
             "{}: result row counts diverged",
             self.name
         );
         ReoptMeasurement {
             rows: summary.rows,
             startup_seconds: summary.simulated_seconds(&self.catalog.config),
-            reopt_seconds: outcome.summary.simulated_seconds(&self.catalog.config),
-            counters: outcome.report.counters,
+            reopt_seconds: reopt.summary.simulated_seconds(&self.catalog.config),
+            counters: reopt.reopt.map(|o| o.report.counters).unwrap_or_default(),
         }
     }
 }

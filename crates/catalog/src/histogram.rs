@@ -124,7 +124,7 @@ mod tests {
     fn skewed_data_is_captured() {
         // 90% of the mass at small values.
         let mut values = vec![];
-        values.extend(std::iter::repeat(5i64).take(900));
+        values.extend([5i64; 900]);
         values.extend((0..100).map(|i| 100 + i * 9));
         let h = Histogram::build(values.clone(), 20).unwrap();
         let truth =
@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn fraction_eq_over_point_mass() {
-        let h = Histogram::build(std::iter::repeat(7i64).take(100), 4).unwrap();
+        let h = Histogram::build([7i64; 100], 4).unwrap();
         assert!(h.fraction_eq(7) > 0.9);
         assert_eq!(h.fraction_eq(100), 0.0);
     }

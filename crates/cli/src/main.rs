@@ -103,14 +103,15 @@
 //! Exit codes distinguish failure classes — see [`dqep::DqepError`].
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use dqep::DqepError;
 use dqep_catalog::{make_chain_catalog, SyntheticSpec, SystemConfig};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    execute_adaptive, execute_plan_dop, execute_plan_reopt, execute_plan_reopt_traced,
-    execute_plan_traced, explain_json, render_explain, ExecMode, ReoptConfig, ResourceLimits,
+    execute, execute_adaptive, explain_json, render_explain, ExecContext, ReoptConfig, ReoptState,
+    ResourceLimits, SharedCounters, Sink, Tracer,
 };
 use dqep_plan::{evaluate_startup, render_plan, to_dot};
 use dqep_service::{
@@ -781,49 +782,53 @@ fn run(args: &Args) -> Result<(), DqepError> {
 
         if args.run {
             let db = db.as_ref().expect("generated above");
+            if args.adaptive {
+                let r = execute_adaptive(&result.plan, db, &catalog, &env, &bindings)?;
+                println!(
+                    "\n-- adaptive execution: {} rows, main {:.4}s + pilot {:.4}s (observed {:?} rows)",
+                    r.main.rows,
+                    r.main.simulated_seconds(&catalog.config),
+                    r.pilot.map(|p| p.simulated_seconds(&catalog.config)).unwrap_or(0.0),
+                    r.observed_rows
+                );
+                return Ok(());
+            }
+            let limits = ResourceLimits {
+                memory_bytes: args.memory_limit,
+                max_rows: args.max_rows,
+                max_io: args.max_io,
+                wall_clock_ms: args.timeout_ms,
+            };
+            let mut ctx =
+                ExecContext::with_limits(SharedCounters::new(), limits).with_dop(args.dop);
+            if args.explain_analyze {
+                ctx = ctx.with_tracer(Arc::new(Tracer::new()));
+            }
             if args.reopt {
-                let limits = ResourceLimits {
-                    memory_bytes: args.memory_limit,
-                    max_rows: args.max_rows,
-                    max_io: args.max_io,
-                    wall_clock_ms: args.timeout_ms,
-                };
-                let reopt_config = ReoptConfig {
+                let config = ReoptConfig {
                     max_replans: args.reopt_budget.unwrap_or(2),
                     ..ReoptConfig::default()
                 };
-                let outcome = if args.explain_analyze {
-                    let (outcome, report) = execute_plan_reopt_traced(
-                        &result.plan,
-                        db,
-                        &catalog,
-                        &env,
-                        &bindings,
-                        limits,
-                        ExecMode::default(),
-                        args.dop,
-                        reopt_config,
-                    )?;
-                    if args.json {
-                        println!("{}", explain_json(&report, &catalog.config));
-                    } else {
-                        print!("\n{}", render_explain(&report, &catalog.config));
-                    }
-                    outcome
+                ctx = ctx.with_reopt(Arc::new(ReoptState::new(config)));
+            }
+            let exec = execute(
+                &result.plan,
+                db,
+                &catalog,
+                &env,
+                &bindings,
+                &ctx,
+                Sink::Count,
+            )?;
+            if let Some(report) = &exec.trace {
+                if args.json {
+                    println!("{}", explain_json(report, &catalog.config));
                 } else {
-                    execute_plan_reopt(
-                        &result.plan,
-                        db,
-                        &catalog,
-                        &env,
-                        &bindings,
-                        limits,
-                        ExecMode::default(),
-                        args.dop,
-                        reopt_config,
-                    )?
-                };
-                if !args.json {
+                    print!("\n{}", render_explain(report, &catalog.config));
+                }
+            }
+            if !args.json {
+                if let Some(outcome) = &exec.reopt {
                     let c = outcome.report.counters;
                     println!(
                         "\n-- re-optimizing execution: {} checkpoint(s), {} escape(s), \
@@ -835,70 +840,21 @@ fn run(args: &Args) -> Result<(), DqepError> {
                         c.memory_degradations,
                         c.fallbacks,
                     );
-                    println!("\n-- executed: {}", outcome.summary.describe(&catalog.config));
+                } else if args.dop > 1 {
+                    println!("\n-- parallel execution at dop {}", args.dop);
                 }
-            } else if args.adaptive {
-                let r = execute_adaptive(&result.plan, db, &catalog, &env, &bindings)?;
-                println!(
-                    "\n-- adaptive execution: {} rows, main {:.4}s + pilot {:.4}s (observed {:?} rows)",
-                    r.main.rows,
-                    r.main.simulated_seconds(&catalog.config),
-                    r.pilot.map(|p| p.simulated_seconds(&catalog.config)).unwrap_or(0.0),
-                    r.observed_rows
-                );
-            } else {
-                let limits = ResourceLimits {
-                    memory_bytes: args.memory_limit,
-                    max_rows: args.max_rows,
-                    max_io: args.max_io,
-                    wall_clock_ms: args.timeout_ms,
-                };
-                let summary = if args.explain_analyze {
-                    let (summary, _, report) = execute_plan_traced(
-                        &result.plan,
-                        db,
-                        &catalog,
-                        &env,
-                        &bindings,
-                        limits,
-                        ExecMode::default(),
-                        args.dop,
-                    )?;
-                    if args.json {
-                        println!("{}", explain_json(&report, &catalog.config));
-                    } else {
-                        print!("\n{}", render_explain(&report, &catalog.config));
-                    }
-                    summary
-                } else {
-                    let (summary, _) = execute_plan_dop(
-                        &result.plan,
-                        db,
-                        &catalog,
-                        &env,
-                        &bindings,
-                        limits,
-                        ExecMode::default(),
-                        args.dop,
-                    )?;
-                    summary
-                };
-                if !args.json {
-                    if args.dop > 1 {
-                        println!("\n-- parallel execution at dop {}", args.dop);
-                    }
-                    // Both CLI paths (--run and --serve) share the
-                    // ExecSummary::describe renderer, so the formats
-                    // cannot drift apart. Single-shot runs bypass the
-                    // prepared-query service, so both caches report "-".
-                    println!("\n-- executed: {}", summary.describe(&catalog.config));
-                    if summary.fallbacks > 0 {
-                        println!(
-                            "-- {} choose-plan fallback(s): a preferred alternative failed \
-                             retryably and execution degraded to the next-best plan",
-                            summary.fallbacks
-                        );
-                    }
+                // Both CLI paths (--run and --serve) share the
+                // ExecSummary::describe renderer, so the formats
+                // cannot drift apart. Single-shot runs bypass the
+                // prepared-query service, so both caches report "-".
+                let summary = &exec.summary;
+                println!("\n-- executed: {}", summary.describe(&catalog.config));
+                if exec.reopt.is_none() && summary.fallbacks > 0 {
+                    println!(
+                        "-- {} choose-plan fallback(s): a preferred alternative failed \
+                         retryably and execution degraded to the next-best plan",
+                        summary.fallbacks
+                    );
                 }
             }
         }

@@ -125,9 +125,9 @@ mod tests {
         let ids: Vec<RelationId> = cat.relations().iter().map(|r| r.id).collect();
         let attr = |i: usize, name: &str| cat.relations()[i].attr_id(name).unwrap();
         let mut q = LogicalExpr::get(ids[0]);
-        for i in 1..n {
+        for (i, &id) in ids.iter().enumerate().skip(1) {
             q = q.join(
-                LogicalExpr::get(ids[i]),
+                LogicalExpr::get(id),
                 vec![JoinPred::new(attr(i - 1, "j"), attr(i, "j"))],
             );
         }

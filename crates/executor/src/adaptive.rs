@@ -34,14 +34,15 @@ use std::sync::Arc;
 
 use dqep_catalog::Catalog;
 use dqep_cost::{Bindings, Environment};
-use dqep_plan::{dag, evaluate_startup_observed, Observations, PlanNode, StartupResult};
+use dqep_plan::{dag, evaluate_startup, PlanNode, StartupResult};
 use dqep_storage::StoredDatabase;
 
-use crate::compile::compile_plan;
+use crate::compile::execute;
 use crate::error::ExecError;
-use crate::exec::drain;
+use crate::exec::Sink;
 use crate::governor::ExecContext;
-use crate::metrics::{ExecSummary, SharedCounters};
+use crate::metrics::ExecSummary;
+use crate::reopt::{ReoptConfig, ReoptState};
 
 /// Result of one adaptive execution.
 #[derive(Debug)]
@@ -128,80 +129,50 @@ pub fn execute_adaptive(
     env: &Environment,
     bindings: &Bindings,
 ) -> Result<AdaptiveResult, ExecError> {
-    let memory_pages = bindings
-        .memory_pages
-        .unwrap_or_else(|| env.memory.expected());
-    let memory_bytes = (memory_pages * catalog.config.page_size as f64) as usize;
-
-    let mut observations = Observations::new();
-    let mut pilot_summary = None;
-    let mut observed = None;
-    let mut observed_rows = None;
-    let mut retained: Option<Arc<crate::reopt::ReoptState>> = None;
-
-    if let Some(pilot) = pick_pilot(plan) {
-        let ctx = ExecContext::new(SharedCounters::new());
-        let before = db.disk.stats();
-        let mut op = crate::choose::compile_dynamic_plan(
-            &pilot, db, catalog, env, bindings, memory_bytes, &ctx,
-        )?;
-        let pilot_rows = drain(op.as_mut())?;
-        let rows = pilot_rows.len() as u64;
-        let io = db.disk.stats().since(&before);
-        pilot_summary = Some(ExecSummary {
-            rows,
-            cpu: ctx.counters.snapshot(),
-            io,
-            fallbacks: ctx.counters.fallbacks(),
-            ..ExecSummary::default()
+    let Some(pilot) = pick_pilot(plan) else {
+        // Nothing to observe: ordinary start-up execution.
+        let startup = evaluate_startup(plan, catalog, env, bindings);
+        let ctx = ExecContext::default();
+        let main = execute(&startup.resolved, db, catalog, env, bindings, &ctx, Sink::Count)?;
+        return Ok(AdaptiveResult {
+            observed: None,
+            observed_rows: None,
+            pilot: None,
+            startup,
+            main: main.summary,
         });
-        observations.insert(pilot.id, rows as f64);
-        observed = Some(pilot.id);
-        observed_rows = Some(rows);
-        // Retain the temporary result: the main execution serves it as a
-        // materialized scan instead of recomputing the shared subplan.
-        let state = Arc::new(crate::reopt::ReoptState::new(crate::reopt::ReoptConfig::default()));
-        state.observe_checkpoint(pilot.id, pilot.op.name(), pilot.stats.card, rows);
-        let layout = crate::choose::layout_of(&pilot, catalog);
-        let _ = state.try_retain(&ctx.governor, pilot.id, layout, pilot_rows);
-        retained = Some(state);
-    }
-
-    let startup = evaluate_startup_observed(plan, catalog, env, bindings, &observations);
-    let mut ctx = ExecContext::new(SharedCounters::new());
-    let before = db.disk.stats();
-    // With a retained pilot, execute the *original* dynamic plan (its
-    // node ids key the substitution); the run-time choose-plan arbitrates
-    // with the same observation, reproducing `startup`'s decision, and
-    // the compiler serves the pilot's rows in place of its subtree.
-    // Without a pilot, run the resolved plan as before.
-    let rows = match retained {
-        Some(state) => {
-            ctx = ctx.with_reopt(state);
-            let mut op = crate::choose::compile_dynamic_plan(
-                plan, db, catalog, env, bindings, memory_bytes, &ctx,
-            )?;
-            drain(op.as_mut())?.len() as u64
-        }
-        None => {
-            let mut op =
-                compile_plan(&startup.resolved, db, catalog, bindings, memory_bytes, &ctx)?;
-            drain(op.as_mut())?.len() as u64
-        }
     };
-    let io = db.disk.stats().since(&before);
+
+    let ctx = ExecContext::default();
+    let pilot_run = execute(&pilot, db, catalog, env, bindings, &ctx, Sink::Collect)?;
+    let rows = pilot_run.summary.rows;
+    // Retain the temporary result: the main execution serves it as a
+    // materialized scan instead of recomputing the shared subplan. A zero
+    // re-plan budget keeps this one observation the only adaptation.
+    let state = Arc::new(ReoptState::new(ReoptConfig {
+        max_replans: 0,
+        ..ReoptConfig::default()
+    }));
+    let ctx = ExecContext::default().with_reopt(Arc::clone(&state));
+    state.observe_checkpoint(pilot.id, pilot.op.name(), pilot.stats.card, rows);
+    let layout = crate::choose::layout_of(&pilot, catalog);
+    let _ = state.try_retain(&ctx.governor, pilot.id, layout, pilot_run.rows);
+
+    // Execute the *original* dynamic plan (its node ids key the
+    // substitution): the run-time choose-plan arbitrates with the
+    // observation, and the compiler serves the pilot's rows in place of
+    // its subtree.
+    let main = execute(plan, db, catalog, env, bindings, &ctx, Sink::Count)?;
+    let startup = match main.reopt {
+        Some(outcome) => outcome.startup,
+        None => evaluate_startup(plan, catalog, env, bindings),
+    };
     Ok(AdaptiveResult {
-        observed,
-        observed_rows,
-        pilot: pilot_summary,
+        observed: Some(pilot.id),
+        observed_rows: Some(rows),
+        pilot: Some(pilot_run.summary),
         startup,
-        main: ExecSummary {
-            rows,
-            cpu: ctx.counters.snapshot(),
-            io,
-            fallbacks: ctx.counters.fallbacks(),
-            ..ExecSummary::default()
-        },
+        main: main.summary,
     })
 }
 
@@ -271,8 +242,10 @@ mod tests {
 
         // Plain start-up execution (estimation-blind).
         let blind = evaluate_startup(&plan, &cat, &env, &bindings);
-        let (blind_exec, _) =
-            crate::compile::execute_plan(&plan, &db, &cat, &env, &bindings).unwrap();
+        let ctx = ExecContext::default();
+        let blind_exec = execute(&plan, &db, &cat, &env, &bindings, &ctx, Sink::Count)
+            .unwrap()
+            .summary;
 
         // Adaptive execution with one observation round.
         let adaptive = execute_adaptive(&plan, &db, &cat, &env, &bindings).unwrap();
@@ -307,16 +280,19 @@ mod tests {
         assert!(pilot.io.total() > 0, "pilot reads its base relation");
 
         // What the same chosen plan costs when executed from scratch.
-        let memory_bytes =
-            (env.memory.expected() * cat.config.page_size as f64) as usize;
-        let ctx = ExecContext::new(SharedCounters::new());
-        let before = db.disk.stats();
-        let mut op = compile_plan(
-            &adaptive.startup.resolved, &db, &cat, &bindings, memory_bytes, &ctx,
+        let ctx = ExecContext::default();
+        let scratch = execute(
+            &adaptive.startup.resolved,
+            &db,
+            &cat,
+            &env,
+            &bindings,
+            &ctx,
+            Sink::Count,
         )
-        .unwrap();
-        let rows = drain(op.as_mut()).unwrap().len() as u64;
-        let scratch_io = db.disk.stats().since(&before);
+        .unwrap()
+        .summary;
+        let (rows, scratch_io) = (scratch.rows, scratch.io);
 
         assert_eq!(rows, adaptive.main.rows, "same logical result");
         assert!(

@@ -375,6 +375,7 @@ mod tests {
     use super::*;
     use crate::compile::compile_plan;
     use crate::exec::drain;
+    use crate::governor::ExecMode;
     use crate::metrics::SharedCounters;
     use dqep_algebra::{CompareOp, HostVar, LogicalExpr, PhysicalOp, SelectPred};
     use dqep_catalog::{CatalogBuilder, SystemConfig};
@@ -453,13 +454,13 @@ mod tests {
             let ctx = ExecContext::new(SharedCounters::new());
             let mut lazy =
                 compile_dynamic_plan(&plan, &db, &cat, &env, &bindings, 64 * 2048, &ctx).unwrap();
-            let lazy_rows = drain(lazy.as_mut()).unwrap().len();
+            let lazy_rows = drain(lazy.as_mut(), ExecMode::Tuple).unwrap().len();
             // Path 2: resolve first.
             let startup = evaluate_startup(&plan, &cat, &env, &bindings);
             let ctx = ExecContext::new(SharedCounters::new());
             let mut eager =
                 compile_plan(&startup.resolved, &db, &cat, &bindings, 64 * 2048, &ctx).unwrap();
-            let eager_rows = drain(eager.as_mut()).unwrap().len();
+            let eager_rows = drain(eager.as_mut(), ExecMode::Tuple).unwrap().len();
             assert_eq!(lazy_rows, eager_rows, "binding {v}");
         }
     }
@@ -477,7 +478,7 @@ mod tests {
         let ctx = ExecContext::new(SharedCounters::new());
         let mut op =
             compile_dynamic_plan(&plan, &db, &cat, &env, &bindings, 64 * 2048, &ctx).unwrap();
-        let rows = drain(op.as_mut()).unwrap().len();
+        let rows = drain(op.as_mut(), ExecMode::Tuple).unwrap().len();
         let io = db.disk.stats().since(&before);
         // A full file scan would read ~150 pages; the index path touches
         // only the B-tree descent plus a handful of fetches.
@@ -525,7 +526,7 @@ mod tests {
         )
         .unwrap();
         db.disk.set_fault_plan(FaultPlan::nth_read(1));
-        let rows = drain(op.as_mut()).unwrap().len();
+        let rows = drain(op.as_mut(), ExecMode::Tuple).unwrap().len();
         db.disk.set_fault_plan(FaultPlan::none());
         assert!(ctx.counters.fallbacks() >= 1, "fallback must be recorded");
         // Same answer as a clean run.

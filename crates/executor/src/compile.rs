@@ -5,22 +5,23 @@ use std::sync::Arc;
 use dqep_algebra::{JoinPred, PhysicalOp, Scalar, SelectPred};
 use dqep_catalog::Catalog;
 use dqep_cost::{Bindings, Environment};
-use dqep_plan::{evaluate_startup, PlanNode, StartupResult};
+use dqep_plan::PlanNode;
 use dqep_storage::StoredDatabase;
 
-use crate::batch::BATCH_CAPACITY;
 use crate::error::ExecError;
+use crate::exec::{pull, Sink};
 use crate::filter::{FilterExec, ResolvedPred};
-use crate::governor::{ExecContext, ExecMode, ResourceGovernor, ResourceLimits};
+use crate::governor::ExecContext;
 use crate::hash_join::HashJoinExec;
 use crate::index_join::IndexJoinExec;
 use crate::merge_join::MergeJoinExec;
-use crate::metrics::{ExecSummary, SharedCounters};
+use crate::metrics::ExecSummary;
+use crate::reopt::ReoptOutcome;
 use crate::scan::{BtreeScanExec, FileScanExec, FilterBtreeScanExec};
 use crate::sort::SortExec;
-use crate::trace::{TraceReport, Tracer};
-use crate::tuple::TupleLayout;
-use crate::{BoxedOperator, Operator};
+use crate::trace::TraceReport;
+use crate::tuple::{Tuple, TupleLayout};
+use crate::BoxedOperator;
 
 fn pred_value(pred: &SelectPred, bindings: &Bindings) -> Result<i64, ExecError> {
     match pred.rhs {
@@ -285,263 +286,118 @@ pub(crate) fn compile_node<'a>(
     })
 }
 
-/// Compiles a **resolved** (choose-plan-free) plan under the caller's
-/// [`ExecContext`] and drains it, returning the produced row count. The
-/// caller owns the context — counters accumulate into `ctx.counters`, the
-/// governor's budgets and cancellation apply, and `ctx.mode` selects the
-/// tuple or batch pipeline. This is the serving-layer entry point for
-/// running a cached resolved plan without re-arbitration.
+/// What one [`execute`] call reports back.
+#[derive(Debug)]
+pub struct Execution {
+    /// Accounting for this call: result rows, simulated CPU (the context's
+    /// counters, cumulative if the caller reuses them), the I/O performed
+    /// during the call, and choose-plan fallbacks taken.
+    pub summary: ExecSummary,
+    /// The result rows under [`Sink::Collect`]; empty under [`Sink::Count`].
+    pub rows: Vec<Tuple>,
+    /// The span tree and choose-plan audits, when the context's tracer
+    /// records spans. With re-optimization on, its `reopt` field carries
+    /// the audit trail too.
+    pub trace: Option<TraceReport>,
+    /// The re-optimization outcome, when the context carries
+    /// [`ExecContext::reopt`] state.
+    pub reopt: Option<ReoptOutcome>,
+}
+
+/// The memory grant in bytes a query runs under: the bindings' grant in
+/// pages, or the environment's expected grant, at the catalog's page size.
+pub(crate) fn grant_bytes(bindings: &Bindings, env: &Environment, catalog: &Catalog) -> usize {
+    let pages = bindings
+        .memory_pages
+        .unwrap_or_else(|| env.memory.expected());
+    (pages * catalog.config.page_size as f64) as usize
+}
+
+/// Executes a (static, dynamic or already resolved) plan: the one
+/// execution entry point. See DESIGN.md §6 for the contract.
+///
+/// The plan is compiled under `ctx` with the memory grant derived from
+/// `bindings`/`env` — choose-plan nodes become run-time
+/// [`crate::ChoosePlanExec`] operators that arbitrate at `open()` and fall
+/// back to the next alternative on a retryable failure; a resolved plan
+/// compiles to exactly its operators — then drained at the root. The
+/// context supplies everything else: `mode` picks the tuple or batch
+/// pipeline, `dop` the intra-query parallelism, `governor` the budgets
+/// (result rows are charged against the row budget), `counters` the
+/// accounting, `tracer` per-operator spans, and `reopt` mid-query
+/// re-optimization (checkpoints, bounded re-plans, intermediate reuse —
+/// see the `reopt` module). `sink` chooses whether result rows are only
+/// counted or also collected.
+///
+/// Execution does no start-up evaluation of its own beyond what the
+/// run-time choose-plan operators (and, with `reopt`, the checkpoint
+/// driver) need; callers that want the [`dqep_plan::StartupResult`] call
+/// [`dqep_plan::evaluate_startup`].
 ///
 /// # Errors
 /// Any [`ExecError`] from compilation or execution, including
-/// [`ExecError::UnresolvedChoosePlan`] for dynamic plans (use
-/// [`run_dynamic`] for those).
-pub fn run_compiled(
+/// [`ExecError::ResourceExhausted`] when a budget is exceeded.
+pub fn execute(
     plan: &Arc<PlanNode>,
     db: &StoredDatabase,
     catalog: &Catalog,
+    env: &Environment,
     bindings: &Bindings,
-    memory_bytes: usize,
     ctx: &ExecContext,
-) -> Result<u64, ExecError> {
-    let mut op = compile_plan(plan, db, catalog, bindings, memory_bytes, ctx)?;
-    drain_root(op.as_mut(), &ctx.governor, ctx.mode)
-}
-
-/// Compiles a (possibly dynamic) plan under the caller's [`ExecContext`] —
-/// mapping choose-plan nodes to the run-time [`crate::ChoosePlanExec`], so
-/// arbitration happens at `open()` and retryable failures fall back to the
-/// next-cheapest alternative — and drains it, returning the produced row
-/// count. Fallbacks taken are recorded in `ctx.counters`.
-///
-/// # Errors
-/// Any [`ExecError`] from compilation or execution.
-pub fn run_dynamic(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    memory_bytes: usize,
-    ctx: &ExecContext,
-) -> Result<u64, ExecError> {
-    let mut op =
-        crate::choose::compile_dynamic_plan(plan, db, catalog, env, bindings, memory_bytes, ctx)?;
-    drain_root(op.as_mut(), &ctx.governor, ctx.mode)
-}
-
-/// Opens and drains `op`, charging produced rows against the row budget;
-/// closes the operator on success and on error. In batch mode the root
-/// pulls [`crate::RowBatch`]es and charges the row budget once per batch —
-/// the budget trips at the same cumulative counts as the per-row charge.
-fn drain_root(
-    op: &mut dyn Operator,
-    governor: &ResourceGovernor,
-    mode: ExecMode,
-) -> Result<u64, ExecError> {
-    fn run(op: &mut dyn Operator, governor: &ResourceGovernor, mode: ExecMode) -> Result<u64, ExecError> {
-        let mut rows = 0u64;
-        op.open()?;
-        match mode {
-            ExecMode::Tuple => {
-                while op.next()?.is_some() {
-                    governor.charge_rows(1)?;
-                    rows += 1;
-                }
-            }
-            ExecMode::Batch => {
-                while let Some(batch) = op.next_batch(BATCH_CAPACITY)? {
-                    let n = batch.len() as u64;
-                    governor.charge_rows(n)?;
-                    rows += n;
-                }
-            }
-        }
-        Ok(rows)
-    }
-    let result = run(op, governor, mode);
-    op.close();
-    result
-}
-
-/// Executes a (static or dynamic) plan end-to-end: runs the start-up-time
-/// decision procedure against the bindings, compiles the plan — mapping
-/// choose-plan nodes to the run-time [`crate::ChoosePlanExec`], so a
-/// retryable failure in the chosen alternative falls back to the next one
-/// — drains it, and reports both the execution summary (simulated I/O +
-/// CPU + fallbacks taken) and the start-up result.
-///
-/// No resource limits are enforced; use [`execute_plan_with`] for that.
-///
-/// # Errors
-/// Any [`ExecError`] from compilation or execution.
-pub fn execute_plan(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-) -> Result<(ExecSummary, StartupResult), ExecError> {
-    execute_plan_with(plan, db, catalog, env, bindings, ResourceLimits::unlimited())
-}
-
-/// [`execute_plan`] with resource governance: the query runs under a
-/// [`ResourceGovernor`] enforcing `limits` (memory grant, row / I/O
-/// budgets, wall-clock deadline). Uses the default (batch) execution
-/// mode; see [`execute_plan_mode`] to pick explicitly.
-///
-/// # Errors
-/// Any [`ExecError`], including [`ExecError::ResourceExhausted`] when a
-/// budget is exceeded.
-pub fn execute_plan_with(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    limits: ResourceLimits,
-) -> Result<(ExecSummary, StartupResult), ExecError> {
-    execute_plan_mode(plan, db, catalog, env, bindings, limits, ExecMode::default())
-}
-
-/// [`execute_plan_with`] with an explicit [`ExecMode`]: `Tuple` runs the
-/// classic Volcano `next()` pipeline, `Batch` the vectorized one. Both
-/// produce identical rows, identical simulated-cost accounting, and
-/// identical choose-plan fallback behavior — the batch-parity tests pin
-/// this down, and the executor benchmarks measure the difference that is
-/// left: wall-clock interpretation overhead.
-///
-/// # Errors
-/// Any [`ExecError`], including [`ExecError::ResourceExhausted`] when a
-/// budget is exceeded.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_mode(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    limits: ResourceLimits,
-    mode: ExecMode,
-) -> Result<(ExecSummary, StartupResult), ExecError> {
-    execute_plan_dop(plan, db, catalog, env, bindings, limits, mode, 1)
-}
-
-/// [`execute_plan_mode`] with an explicit degree of intra-query
-/// parallelism. `dop > 1` compiles exchange-parallel operators — the
-/// morsel-driven partition scan, the partitioned parallel hash join, and
-/// the parallel-run sort — all behind the ordinary [`Operator`]
-/// interface, so choose-plan fallback, resource governance, fault
-/// injection, and both execution modes compose unchanged. Results,
-/// counter totals, and fallback behavior are identical to `dop = 1`
-/// (rows up to multiset order); the parallel-parity tests pin this down.
-///
-/// # Errors
-/// Any [`ExecError`], including [`ExecError::ResourceExhausted`] when a
-/// budget is exceeded.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_dop(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    limits: ResourceLimits,
-    mode: ExecMode,
-    dop: usize,
-) -> Result<(ExecSummary, StartupResult), ExecError> {
-    execute_inner(plan, db, catalog, env, bindings, limits, mode, dop, None)
-        .map(|(summary, startup, _)| (summary, startup))
-}
-
-/// [`execute_plan_dop`] with per-operator tracing: every compiled node
-/// records a [`crate::SpanRecord`] (rows, batches, wall time, CPU/I/O
-/// deltas, memory high-water, DOP) and every choose-plan arbitration a
-/// [`crate::ChooseAudit`], returned as a [`TraceReport`] alongside the
-/// summary. Rendering lives in [`crate::render_explain`] /
-/// [`crate::explain_json`].
-///
-/// Results, counter totals, and fallback behavior are identical to the
-/// untraced entry points — the tracing wrappers only observe
-/// (`tests/observability.rs` pins this down with a parity proptest).
-///
-/// # Errors
-/// Any [`ExecError`], as [`execute_plan_dop`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_traced(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    limits: ResourceLimits,
-    mode: ExecMode,
-    dop: usize,
-) -> Result<(ExecSummary, StartupResult, TraceReport), ExecError> {
-    let tracer = Arc::new(Tracer::new());
-    execute_inner(
-        plan,
-        db,
-        catalog,
-        env,
-        bindings,
-        limits,
-        mode,
-        dop,
-        Some(tracer),
-    )
-}
-
-/// Shared body of [`execute_plan_dop`] (tracer `None`) and
-/// [`execute_plan_traced`] (tracer `Some`): one code path, so "tracing
-/// disabled" *is* the plain entry point, not a near-copy of it.
-#[allow(clippy::too_many_arguments)]
-fn execute_inner(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    limits: ResourceLimits,
-    mode: ExecMode,
-    dop: usize,
-    tracer: Option<Arc<Tracer>>,
-) -> Result<(ExecSummary, StartupResult, TraceReport), ExecError> {
-    let startup = evaluate_startup(plan, catalog, env, bindings);
-    let memory_pages = bindings
-        .memory_pages
-        .unwrap_or_else(|| env.memory.expected());
-    let memory_bytes = (memory_pages * catalog.config.page_size as f64) as usize;
-    let mut ctx = ExecContext::with_limits(SharedCounters::new(), limits)
-        .with_mode(mode)
-        .with_dop(dop);
-    if let Some(tracer) = &tracer {
-        ctx = ctx.with_tracer(Arc::clone(tracer));
-    }
+    sink: Sink,
+) -> Result<Execution, ExecError> {
     let io_before = db.disk.stats();
-    let rows = run_dynamic(plan, db, catalog, env, bindings, memory_bytes, &ctx)?;
+    let (rows, collected, reopt) =
+        crate::reopt::drive(plan, db, catalog, env, bindings, ctx, sink)?;
     let io = db.disk.stats().since(&io_before);
-    let report = tracer.map(|t| t.report()).unwrap_or_default();
-    Ok((
-        ExecSummary {
+    let trace = ctx.tracer.as_ref().filter(|t| t.records_spans()).map(|t| {
+        let mut report = t.report();
+        if let Some(outcome) = &reopt {
+            report.reopt = outcome.report.clone();
+        }
+        report
+    });
+    Ok(Execution {
+        summary: ExecSummary {
             rows,
             cpu: ctx.counters.snapshot(),
             io,
             fallbacks: ctx.counters.fallbacks(),
             ..ExecSummary::default()
         },
-        startup,
-        report,
-    ))
+        rows: collected,
+        trace,
+        reopt,
+    })
+}
+
+/// Compiles `plan` dynamically under `ctx` with the grant `bindings`
+/// implies and drains it at the root, charging result rows against the
+/// row budget.
+pub(crate) fn run(
+    plan: &Arc<PlanNode>,
+    db: &StoredDatabase,
+    catalog: &Catalog,
+    env: &Environment,
+    bindings: &Bindings,
+    ctx: &ExecContext,
+    sink: Sink,
+) -> Result<(u64, Vec<Tuple>), ExecError> {
+    let memory_bytes = grant_bytes(bindings, env, catalog);
+    let mut op = compile_node(plan, db, catalog, Some(env), bindings, memory_bytes, ctx)?;
+    pull(op.as_mut(), ctx.mode, Some(&ctx.governor), sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::drain;
+    use crate::governor::{ExecMode, ResourceLimits};
+    use crate::metrics::SharedCounters;
     use dqep_algebra::{CompareOp, HostVar, LogicalExpr};
     use dqep_catalog::{CatalogBuilder, SystemConfig};
     use dqep_core::Optimizer;
+    use dqep_plan::evaluate_startup;
 
     /// Two small relations joined on `j`, selection on `r.a`.
     fn fixture() -> (Catalog, StoredDatabase) {
@@ -556,6 +412,18 @@ mod tests {
             .unwrap();
         let db = StoredDatabase::generate(&cat, 99);
         (cat, db)
+    }
+
+    fn run_limited(
+        plan: &Arc<PlanNode>,
+        db: &StoredDatabase,
+        cat: &Catalog,
+        env: &Environment,
+        bindings: &Bindings,
+        limits: ResourceLimits,
+    ) -> Result<Execution, ExecError> {
+        let ctx = ExecContext::with_limits(SharedCounters::new(), limits);
+        execute(plan, db, cat, env, bindings, &ctx, Sink::Count)
     }
 
     fn select_query(cat: &Catalog) -> LogicalExpr {
@@ -577,7 +445,10 @@ mod tests {
             .plan;
         for v in [0i64, 40, 200, 400] {
             let bindings = Bindings::new().with_value(HostVar(0), v);
-            let (summary, _) = execute_plan(&plan, &db, &cat, &env, &bindings).unwrap();
+            let ctx = ExecContext::default();
+            let summary = execute(&plan, &db, &cat, &env, &bindings, &ctx, Sink::Count)
+                .unwrap()
+                .summary;
             // Ground truth from a raw heap scan.
             let table = db.table(cat.relation_by_name("r").unwrap().id);
             let expected = table
@@ -606,7 +477,7 @@ mod tests {
         let mut results: Vec<u64> = Vec::new();
         for alt in &plan.children {
             let mut op = compile_plan(alt, &db, &cat, &bindings, 1 << 20, &ctx).unwrap();
-            results.push(drain(op.as_mut()).unwrap().len() as u64);
+            results.push(drain(op.as_mut(), ExecMode::Tuple).unwrap().len() as u64);
         }
         assert!(results.windows(2).all(|w| w[0] == w[1]), "{results:?}");
     }
@@ -629,7 +500,7 @@ mod tests {
                 let ctx = ExecContext::new(SharedCounters::new());
                 let before = db.disk.stats();
                 let mut op = compile_plan(alt, &db, &cat, &bindings, 1 << 20, &ctx).unwrap();
-                let _ = drain(op.as_mut()).unwrap();
+                let _ = drain(op.as_mut(), ExecMode::Tuple).unwrap();
                 let io = db.disk.stats().since(&before);
                 let summary = ExecSummary {
                     rows: 0,
@@ -668,7 +539,10 @@ mod tests {
         let plan = Optimizer::new(&cat, &env).optimize(&q).unwrap().plan;
 
         let bindings = Bindings::new().with_value(HostVar(0), 100);
-        let (summary, _) = execute_plan(&plan, &db, &cat, &env, &bindings).unwrap();
+        let ctx = ExecContext::default();
+        let summary = execute(&plan, &db, &cat, &env, &bindings, &ctx, Sink::Count)
+            .unwrap()
+            .summary;
 
         // Ground truth: nested loops over raw heap scans.
         let rt = db.table(r.id);
@@ -696,8 +570,9 @@ mod tests {
             .optimize(&select_query(&cat))
             .unwrap()
             .plan;
-        let err = execute_plan(&plan, &db, &cat, &env, &Bindings::new());
-        // Start-up evaluation falls back to defaults, but compilation of a
+        let ctx = ExecContext::default();
+        let err = execute(&plan, &db, &cat, &env, &Bindings::new(), &ctx, Sink::Count);
+        // Arbitration falls back to defaults, but compilation of a
         // predicate with no binding must fail.
         assert_eq!(err.unwrap_err(), ExecError::UnboundHostVar(HostVar(0)));
     }
@@ -735,7 +610,7 @@ mod tests {
             max_rows: Some(10),
             ..ResourceLimits::default()
         };
-        let err = execute_plan_with(&plan, &db, &cat, &env, &bindings, limits).unwrap_err();
+        let err = run_limited(&plan, &db, &cat, &env, &bindings, limits).unwrap_err();
         assert_eq!(
             err,
             ExecError::ResourceExhausted(crate::error::Resource::Rows { limit: 10 })
@@ -745,7 +620,7 @@ mod tests {
             max_rows: Some(1_000_000),
             ..ResourceLimits::default()
         };
-        assert!(execute_plan_with(&plan, &db, &cat, &env, &bindings, limits).is_ok());
+        assert!(run_limited(&plan, &db, &cat, &env, &bindings, limits).is_ok());
     }
 
     #[test]
@@ -761,7 +636,7 @@ mod tests {
             max_io: Some(2),
             ..ResourceLimits::default()
         };
-        let err = execute_plan_with(&plan, &db, &cat, &env, &bindings, limits).unwrap_err();
+        let err = run_limited(&plan, &db, &cat, &env, &bindings, limits).unwrap_err();
         assert_eq!(
             err,
             ExecError::ResourceExhausted(crate::error::Resource::Io { limit: 2 })

@@ -512,7 +512,7 @@ fn apply_side(state: &mut JoinState, bytes: &mut u64, d: &Delta, key_pos: &[usiz
 mod tests {
     use super::*;
     use crate::exec::drain;
-    use crate::governor::{ExecContext, ResourceLimits};
+    use crate::governor::{ExecContext, ExecMode, ResourceLimits};
     use crate::metrics::SharedCounters;
     use dqep_algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, PhysProps, SelectPred};
     use dqep_catalog::{CatalogBuilder, SystemConfig};
@@ -578,7 +578,7 @@ mod tests {
     ) -> Vec<Tuple> {
         let ctx = ExecContext::new(SharedCounters::new());
         let mut op = crate::compile_plan(plan, db, cat, bindings, 1 << 22, &ctx).unwrap();
-        drain(op.as_mut()).unwrap()
+        drain(op.as_mut(), ExecMode::Tuple).unwrap()
     }
 
     #[test]

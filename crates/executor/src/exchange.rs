@@ -38,8 +38,8 @@ use dqep_storage::{PageClaims, StoredTable, DEFAULT_MORSEL_PAGES};
 
 use crate::batch::RowBatch;
 use crate::error::ExecError;
-use crate::exec::{drain, drain_batch};
-use crate::governor::{ExecContext, ExecMode};
+use crate::exec::drain;
+use crate::governor::ExecContext;
 use crate::metrics::SharedCounters;
 use crate::scan::MorselScanExec;
 use crate::tuple::{Tuple, TupleLayout};
@@ -139,10 +139,7 @@ impl Operator for ExchangeExec<'_> {
             .iter_mut()
             .map(|w| {
                 let op = w.op.as_mut();
-                move || match mode {
-                    ExecMode::Tuple => drain(op),
-                    ExecMode::Batch => drain_batch(op),
-                }
+                move || drain(op, mode)
             })
             .collect();
         let results = run_parallel(tasks);
@@ -286,6 +283,7 @@ pub fn parallel_scan<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governor::ExecMode;
     use dqep_catalog::{CatalogBuilder, SystemConfig};
     use dqep_storage::StoredDatabase;
 
@@ -315,10 +313,7 @@ mod tests {
                 TupleLayout::base(&cat, rel),
                 serial_ctx.clone(),
             );
-            let serial_rows = match mode {
-                ExecMode::Tuple => drain(&mut serial).unwrap(),
-                ExecMode::Batch => drain_batch(&mut serial).unwrap(),
-            };
+            let serial_rows = drain(&mut serial, mode).unwrap();
             let serial_io = db.disk.stats();
             db.disk.reset_stats();
 
@@ -327,10 +322,7 @@ mod tests {
                     .with_mode(mode)
                     .with_dop(dop);
                 let mut ex = parallel_scan(table, TupleLayout::base(&cat, rel), &ctx);
-                let rows = match mode {
-                    ExecMode::Tuple => drain(&mut ex).unwrap(),
-                    ExecMode::Batch => drain_batch(&mut ex).unwrap(),
-                };
+                let rows = drain(&mut ex, mode).unwrap();
                 assert_eq!(
                     sorted_rows(rows),
                     sorted_rows(serial_rows.clone()),

@@ -1,7 +1,8 @@
 //! The Volcano iterator interface, tuple-at-a-time and batched.
 
-use crate::batch::RowBatch;
+use crate::batch::{RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
+use crate::governor::{ExecMode, ResourceGovernor};
 use crate::tuple::{Tuple, TupleLayout};
 
 /// A demand-driven query operator (Volcano iterator model): `open`
@@ -86,50 +87,80 @@ pub type BoxedOperator<'a> = Box<dyn Operator + Send + 'a>;
 /// a bad hint cannot ask for unbounded memory up front.
 pub(crate) const MAX_PRESIZE_ROWS: u64 = 1 << 20;
 
-/// Drains an operator to completion, returning all tuples. The output is
-/// pre-sized from the operator's [`Operator::estimated_rows`] hint.
-///
-/// The operator is closed on success *and* on error, so buffered state
-/// and memory reservations are released either way.
-///
-/// # Errors
-/// The first [`ExecError`] raised by `open` or `next`.
-pub fn drain(op: &mut dyn Operator) -> Result<Vec<Tuple>, ExecError> {
-    fn run(op: &mut dyn Operator, out: &mut Vec<Tuple>) -> Result<(), ExecError> {
-        op.open()?;
-        if let Some(n) = op.estimated_rows() {
-            out.reserve(n.min(MAX_PRESIZE_ROWS) as usize);
-        }
-        while let Some(t) = op.next()? {
-            out.push(t);
-        }
-        Ok(())
-    }
-    let mut out = Vec::new();
-    let result = run(op, &mut out);
-    op.close();
-    result.map(|()| out)
+/// What a drain does with result rows: count them, or also collect them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sink {
+    /// Count rows only; nothing is materialized.
+    Count,
+    /// Collect every row (pre-sized from [`Operator::estimated_rows`]).
+    Collect,
 }
 
-/// Drains an operator to completion through the **batch** interface,
-/// returning all tuples (materialized row by row for interop). The
-/// batched analogue of [`drain`], with the same close-on-error contract.
-///
-/// # Errors
-/// The first [`ExecError`] raised by `open` or `next_batch`.
-pub fn drain_batch(op: &mut dyn Operator) -> Result<Vec<Tuple>, ExecError> {
-    fn run(op: &mut dyn Operator, out: &mut Vec<Tuple>) -> Result<(), ExecError> {
+/// The one drain loop: opens `op`, pulls it dry through the interface
+/// `mode` selects — `next()` per tuple or `next_batch()` per
+/// [`crate::RowBatch`] — and closes it on success *and* on error, so
+/// buffered state and memory reservations are released either way.
+/// With a `governor`, result rows are charged against its row budget
+/// (once per tuple, or once per batch: the budget trips at the same
+/// cumulative counts). Returns the row count and, under
+/// [`Sink::Collect`], the rows.
+pub(crate) fn pull(
+    op: &mut dyn Operator,
+    mode: ExecMode,
+    governor: Option<&ResourceGovernor>,
+    sink: Sink,
+) -> Result<(u64, Vec<Tuple>), ExecError> {
+    fn run(
+        op: &mut dyn Operator,
+        mode: ExecMode,
+        governor: Option<&ResourceGovernor>,
+        mut out: Option<&mut Vec<Tuple>>,
+    ) -> Result<u64, ExecError> {
         op.open()?;
-        if let Some(n) = op.estimated_rows() {
+        if let (Some(out), Some(n)) = (out.as_deref_mut(), op.estimated_rows()) {
             out.reserve(n.min(MAX_PRESIZE_ROWS) as usize);
         }
-        while let Some(batch) = op.next_batch(crate::batch::BATCH_CAPACITY)? {
-            out.extend(batch.iter());
+        let mut rows = 0u64;
+        match mode {
+            ExecMode::Tuple => {
+                while let Some(t) = op.next()? {
+                    if let Some(g) = governor {
+                        g.charge_rows(1)?;
+                    }
+                    rows += 1;
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push(t);
+                    }
+                }
+            }
+            ExecMode::Batch => {
+                while let Some(batch) = op.next_batch(BATCH_CAPACITY)? {
+                    let n = batch.len() as u64;
+                    if let Some(g) = governor {
+                        g.charge_rows(n)?;
+                    }
+                    rows += n;
+                    if let Some(out) = out.as_deref_mut() {
+                        out.extend(batch.iter());
+                    }
+                }
+            }
         }
-        Ok(())
+        Ok(rows)
     }
     let mut out = Vec::new();
-    let result = run(op, &mut out);
+    let collect = (sink == Sink::Collect).then_some(&mut out);
+    let result = run(op, mode, governor, collect);
     op.close();
-    result.map(|()| out)
+    result.map(|rows| (rows, out))
+}
+
+/// Drains an operator to completion through the interface `mode` selects,
+/// returning all tuples. No row budget is charged. The operator is closed
+/// on success *and* on error.
+///
+/// # Errors
+/// The first [`ExecError`] raised by `open`, `next` or `next_batch`.
+pub fn drain(op: &mut dyn Operator, mode: ExecMode) -> Result<Vec<Tuple>, ExecError> {
+    pull(op, mode, None, Sink::Collect).map(|(_, rows)| rows)
 }

@@ -12,17 +12,10 @@
 //! checks the schema, which is what the CI smoke job runs.
 
 use dqep_catalog::SystemConfig;
+use dqep_interval::Slack;
 use std::fmt::Write as _;
 
 use crate::trace::{ChooseAudit, SpanRecord, TraceReport};
-
-/// Slack applied when testing an actual against `[lo, hi]`: half a row
-/// absolute (interval endpoints are real-valued expectations, actuals are
-/// integers) plus a hair of relative tolerance for float noise.
-fn outside(actual: f64, lo: f64, hi: f64, abs_slack: f64, rel_slack: f64) -> bool {
-    let slack = abs_slack + rel_slack * hi.abs().max(1.0);
-    actual < lo - slack || actual > hi + slack
-}
 
 /// Whether a span is eligible for drift evaluation: it must carry an
 /// estimate, have actually run (`opens > 0`), and have finished without
@@ -42,13 +35,7 @@ pub fn card_drift(record: &SpanRecord) -> Option<bool> {
         return None;
     }
     let est = record.estimate?;
-    Some(outside(
-        record.stats.rows as f64,
-        est.card.lo(),
-        est.card.hi(),
-        0.5,
-        1e-9,
-    ))
+    Some(est.card.escapes(record.stats.rows as f64, 1.0, Slack::ROWS))
 }
 
 /// Whether the span's actual simulated cost (accounted CPU + I/O seconds
@@ -62,13 +49,14 @@ pub fn cost_drift(record: &SpanRecord, config: &SystemConfig) -> Option<bool> {
         return None;
     }
     let est = record.estimate?;
-    Some(outside(
-        record.stats.simulated_seconds(config),
-        est.cost.lo(),
-        est.cost.hi(),
-        1e-6,
-        0.05,
-    ))
+    let slack = Slack {
+        abs: 1e-6,
+        rel: 0.05,
+    };
+    Some(
+        est.cost
+            .escapes(record.stats.simulated_seconds(config), 1.0, slack),
+    )
 }
 
 /// Formats a float compactly: integers without a fraction, everything

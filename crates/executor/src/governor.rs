@@ -286,6 +286,13 @@ pub struct ExecContext {
     pub reopt: Option<Arc<crate::reopt::ReoptState>>,
 }
 
+impl Default for ExecContext {
+    /// Fresh counters, an unlimited governor, the default (batch) mode.
+    fn default() -> ExecContext {
+        ExecContext::new(SharedCounters::new())
+    }
+}
+
 impl ExecContext {
     /// A context around `counters` with an unlimited governor and the
     /// default (batch) mode.

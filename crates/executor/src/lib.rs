@@ -4,10 +4,11 @@
 //! file scans, B-tree scans and range probes, filters, in-memory and
 //! partitioned (Grace) hash joins, merge joins, index nested-loop joins,
 //! and external sort — every algorithm of the paper's physical algebra
-//! (Table 1). The run-time **choose-plan** behaviour is provided by
-//! [`execute_plan`], which resolves a dynamic plan with the actual
-//! bindings (the Section 4 decision procedure) and then runs the chosen
-//! alternative.
+//! (Table 1). Every plan runs through one entry point, [`execute`]: it
+//! compiles the plan under an [`ExecContext`] — choose-plan nodes become
+//! run-time [`ChoosePlanExec`] operators that resolve the plan with the
+//! actual bindings at start-up (the Section 4 decision procedure) — and
+//! drains it, counting or collecting the result ([`Sink`]).
 //!
 //! Execution is *simulated-time measured*: every page access is accounted
 //! by the simulated disk and every record/comparison/hash by CPU counters,
@@ -20,7 +21,7 @@
 //! `Result`, storage faults surface as [`ExecError::Storage`], and every
 //! query runs under a [`ResourceGovernor`] enforcing its memory grant plus
 //! optional row / I/O / wall-clock budgets with cooperative cancellation
-//! ([`execute_plan_with`]). A choose-plan whose chosen alternative fails
+//! ([`ExecContext::with_limits`]). A choose-plan whose chosen alternative fails
 //! *retryably* at `open` falls back to the next alternative in cost order,
 //! recording the fallback in [`ExecSummary::fallbacks`].
 //!
@@ -29,8 +30,11 @@
 //! [`Operator::next_batch`], with native batch implementations for the
 //! hot operators (scans, filter, hash join, sort) and a tuple-looping
 //! default for the rest. The tuple path remains fully supported
-//! ([`ExecMode::Tuple`], [`execute_plan_mode`]) and the two paths produce
-//! identical results, accounting, and fallback behavior.
+//! ([`ExecMode::Tuple`], [`ExecContext::with_mode`]) and the two paths
+//! produce identical results, accounting, and fallback behavior. The same
+//! context selects intra-query parallelism ([`ExecContext::with_dop`]),
+//! per-operator tracing ([`ExecContext::with_tracer`]) and mid-query
+//! re-optimization ([`ExecContext::with_reopt`]).
 
 #![warn(missing_docs)]
 // Runtime executor code must propagate errors, not panic: unwrap/expect
@@ -65,14 +69,11 @@ mod tuple;
 pub use adaptive::{execute_adaptive, AdaptiveResult};
 pub use batch::{RowBatch, RowBatchIter, BATCH_CAPACITY};
 pub use choose::{compile_dynamic_plan, ChoosePlanExec};
-pub use compile::{
-    compile_plan, execute_plan, execute_plan_dop, execute_plan_mode, execute_plan_traced,
-    execute_plan_with, run_compiled, run_dynamic,
-};
+pub use compile::{compile_plan, execute, Execution};
 pub use delta::{compile_delta_plan, BaseDeltas, Delta, DeltaPipeline};
 pub use error::{ExecError, Resource};
 pub use exchange::{parallel_scan, ExchangeExec};
-pub use exec::{drain, drain_batch, BoxedOperator, Operator};
+pub use exec::{drain, BoxedOperator, Operator, Sink};
 pub use explain::{
     card_drift, cost_drift, explain_json, parse_json, render_explain, validate_explain_json,
     JsonValue,
@@ -90,7 +91,6 @@ pub use netexchange::{
     NetChannel, NetConfig, NetStats, SimNet, FRAME_HEADER_BYTES,
 };
 pub use reopt::{
-    escapes_interval, execute_plan_reopt, execute_plan_reopt_ctx, execute_plan_reopt_traced,
     MaterializedScanExec, ReoptConfig, ReoptCounters, ReoptEvent, ReoptEventKind, ReoptOutcome,
     ReoptReport, ReoptState,
 };

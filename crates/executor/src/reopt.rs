@@ -8,14 +8,15 @@
 //! exchange's worker join — where an entire intermediate result is
 //! materialized and its actual cardinality is known exactly.
 //!
-//! [`execute_plan_reopt`] closes the loop the EXPLAIN ANALYZE drift
+//! [`crate::execute`] under a context carrying a [`ReoptState`]
+//! ([`ExecContext::with_reopt`]) closes the loop the EXPLAIN ANALYZE drift
 //! detector only observes:
 //!
 //! 1. **Checkpoints.** Blocking inputs along the arbitrated path are
 //!    materialized deepest-first ([`dqep_plan::next_blocking_input`]).
 //!    Each materialization is a checkpoint: the observed cardinality is
-//!    compared against the compile-time interval (with the same slack the
-//!    drift detector uses).
+//!    compared against the bind-time interval with the drift detector's
+//!    escape predicate ([`Interval::escapes`]).
 //! 2. **Bounded re-planning.** On escape, the *remaining* plan is
 //!    re-arbitrated via [`dqep_plan::evaluate_startup_observed`] with the
 //!    observation applied — under a per-query re-optimization budget (max
@@ -44,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use dqep_catalog::Catalog;
 use dqep_cost::{Bindings, Environment};
-use dqep_interval::Interval;
+use dqep_interval::{Interval, Slack};
 use dqep_plan::{
     chosen_map, evaluate_startup_observed, next_blocking_input, NodeId, Observations, PlanNode,
     StartupResult,
@@ -53,11 +54,10 @@ use dqep_storage::StoredDatabase;
 use parking_lot::Mutex;
 
 use crate::batch::RowBatch;
+use crate::compile::{grant_bytes, run};
 use crate::error::ExecError;
-use crate::exec::{drain, drain_batch, Operator};
-use crate::governor::{ExecContext, ExecMode, ResourceGovernor, ResourceLimits};
-use crate::metrics::{ExecSummary, SharedCounters};
-use crate::trace::{TraceReport, Tracer};
+use crate::exec::{drain, Operator, Sink};
+use crate::governor::{ExecContext, ResourceGovernor};
 use crate::tuple::{Tuple, TupleLayout};
 
 /// The per-query re-optimization budget.
@@ -166,7 +166,7 @@ pub struct ReoptCounters {
 }
 
 /// The re-optimization audit trail of one query: every event plus the
-/// counter totals. Attached to [`TraceReport`] and rendered by EXPLAIN
+/// counter totals. Attached to [`crate::TraceReport`] and rendered by EXPLAIN
 /// ANALYZE.
 #[derive(Debug, Clone, Default)]
 pub struct ReoptReport {
@@ -220,17 +220,6 @@ pub struct ReoptState {
     inner: Mutex<ReoptInner>,
 }
 
-/// Whether an observed cardinality falls outside a bind-time interval —
-/// the trigger both for mid-query re-optimization and for live-view
-/// re-arbitration. Same escape semantics as the EXPLAIN ANALYZE
-/// cardinality drift check: absolute slack of half a row (rounding) plus
-/// a hair of relative slack.
-#[must_use]
-pub fn escapes_interval(actual: f64, card: Interval) -> bool {
-    let slack = 0.5 + 1e-9 * card.hi().abs().max(1.0);
-    actual < card.lo() - slack || actual > card.hi() + slack
-}
-
 impl ReoptState {
     /// Fresh state under `config`, with the wall clock starting now.
     #[must_use]
@@ -264,7 +253,7 @@ impl ReoptState {
         card: Interval,
         actual: u64,
     ) -> bool {
-        let escaped = escapes_interval(actual as f64, card);
+        let escaped = card.escapes(actual as f64, 1.0, Slack::ROWS);
         let mut inner = self.inner.lock();
         inner.counters.checkpoints += 1;
         inner.events.push(ReoptEvent {
@@ -607,28 +596,15 @@ impl Operator for MaterializedScanExec {
     }
 }
 
-/// What one re-optimizing execution reports back.
+/// What one re-optimizing execution reports back alongside the
+/// [`crate::Execution`] it belongs to.
 #[derive(Debug)]
 pub struct ReoptOutcome {
-    /// Execution accounting (rows, CPU, I/O, fallbacks) across the
-    /// checkpoints and the final run.
-    pub summary: ExecSummary,
     /// The arbitration in force at completion (the original one if the
     /// query fell back).
     pub startup: StartupResult,
     /// The re-optimization audit trail.
     pub report: ReoptReport,
-    /// The query result. This engine materializes results at the root in
-    /// every entry point; keeping them here lets callers verify multiset
-    /// parity against other execution paths.
-    pub rows: Vec<Tuple>,
-}
-
-fn grant_bytes(bindings: &Bindings, env: &Environment, catalog: &Catalog) -> usize {
-    let pages = bindings
-        .memory_pages
-        .unwrap_or_else(|| env.memory.expected());
-    (pages * catalog.config.page_size as f64) as usize
 }
 
 /// Materializes one checkpoint subtree, in the context's execution mode.
@@ -641,9 +617,9 @@ fn materialize(
     catalog: &Catalog,
     env: &Environment,
     bindings: &Bindings,
-    memory_bytes: usize,
     ctx: &ExecContext,
 ) -> Result<Vec<Tuple>, ExecError> {
+    let memory_bytes = grant_bytes(bindings, env, catalog);
     let mut op = crate::choose::compile_dynamic_plan(
         target,
         db,
@@ -653,174 +629,32 @@ fn materialize(
         memory_bytes,
         ctx,
     )?;
-    match ctx.mode {
-        ExecMode::Tuple => drain(op.as_mut()),
-        ExecMode::Batch => drain_batch(op.as_mut()),
-    }
+    drain(op.as_mut(), ctx.mode)
 }
 
-/// Compiles and drains the full dynamic plan, charging result rows
-/// against the row budget exactly as the plain entry points do.
-fn run_collect(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    memory_bytes: usize,
-    ctx: &ExecContext,
-) -> Result<Vec<Tuple>, ExecError> {
-    let mut op =
-        crate::choose::compile_dynamic_plan(plan, db, catalog, env, bindings, memory_bytes, ctx)?;
-    fn collect(
-        op: &mut dyn Operator,
-        governor: &ResourceGovernor,
-        mode: ExecMode,
-    ) -> Result<Vec<Tuple>, ExecError> {
-        let mut out = Vec::new();
-        op.open()?;
-        match mode {
-            ExecMode::Tuple => {
-                while let Some(t) = op.next()? {
-                    governor.charge_rows(1)?;
-                    out.push(t);
-                }
-            }
-            ExecMode::Batch => {
-                while let Some(batch) = op.next_batch(crate::batch::BATCH_CAPACITY)? {
-                    governor.charge_rows(batch.len() as u64)?;
-                    out.extend(batch.iter());
-                }
-            }
-        }
-        Ok(out)
-    }
-    let result = collect(op.as_mut(), &ctx.governor, ctx.mode);
-    op.close();
-    result
-}
-
-/// Executes a dynamic plan with mid-query re-optimization (see the module
-/// docs): checkpoint the blocking inputs, re-arbitrate the remainder on
-/// escape within the [`ReoptConfig`] budget, reuse every retained
-/// intermediate, degrade gracefully under memory pressure, and fall back
-/// to the original plan when re-planning itself fails.
+/// The body of [`crate::execute`]. Without [`ExecContext::reopt`] state
+/// this is one compile-and-drain run. With it, the checkpoint loop (see
+/// the module docs) runs first: checkpoint the blocking inputs, re-arbitrate
+/// the remainder on escape within the [`ReoptConfig`] budget, reuse every
+/// retained intermediate, degrade gracefully under memory pressure, and
+/// fall back to the original plan when re-planning itself fails.
 ///
 /// # Errors
 /// Any non-retryable [`ExecError`], or a retryable one that survived the
 /// whole degradation ladder.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_reopt(
+pub(crate) fn drive(
     plan: &Arc<PlanNode>,
     db: &StoredDatabase,
     catalog: &Catalog,
     env: &Environment,
     bindings: &Bindings,
-    limits: ResourceLimits,
-    mode: ExecMode,
-    dop: usize,
-    config: ReoptConfig,
-) -> Result<ReoptOutcome, ExecError> {
-    reopt_inner(
-        plan, db, catalog, env, bindings, limits, mode, dop, config, None,
-    )
-    .map(|(outcome, _)| outcome)
-}
-
-/// [`execute_plan_reopt`] with per-operator tracing; the returned
-/// [`TraceReport`] carries the re-optimization audit trail in its
-/// `reopt` field.
-///
-/// # Errors
-/// As [`execute_plan_reopt`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_reopt_traced(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    limits: ResourceLimits,
-    mode: ExecMode,
-    dop: usize,
-    config: ReoptConfig,
-) -> Result<(ReoptOutcome, TraceReport), ExecError> {
-    reopt_inner(
-        plan,
-        db,
-        catalog,
-        env,
-        bindings,
-        limits,
-        mode,
-        dop,
-        config,
-        Some(Arc::new(Tracer::new())),
-    )
-}
-
-/// [`execute_plan_reopt`] over a caller-supplied execution context: the
-/// context's shared counters, governor (so cooperative cancellation keeps
-/// working), mode, DOP, and tracer are all preserved — only a fresh
-/// [`ReoptState`] is attached for the duration of this execution. This is
-/// the service entry point: a session's accounting and cancellation
-/// handle stay live across the re-optimizing run.
-///
-/// # Errors
-/// As [`execute_plan_reopt`].
-pub fn execute_plan_reopt_ctx(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    config: ReoptConfig,
     ctx: &ExecContext,
-) -> Result<ReoptOutcome, ExecError> {
-    let state = Arc::new(ReoptState::new(config));
-    let ctx = ctx.clone().with_reopt(Arc::clone(&state));
-    drive(plan, db, catalog, env, bindings, &state, &ctx)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn reopt_inner(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    limits: ResourceLimits,
-    mode: ExecMode,
-    dop: usize,
-    config: ReoptConfig,
-    tracer: Option<Arc<Tracer>>,
-) -> Result<(ReoptOutcome, TraceReport), ExecError> {
-    let state = Arc::new(ReoptState::new(config));
-    let mut ctx = ExecContext::with_limits(SharedCounters::new(), limits)
-        .with_mode(mode)
-        .with_dop(dop)
-        .with_reopt(Arc::clone(&state));
-    if let Some(t) = &tracer {
-        ctx = ctx.with_tracer(Arc::clone(t));
-    }
-    let outcome = drive(plan, db, catalog, env, bindings, &state, &ctx)?;
-    let mut trace = tracer.map(|t| t.report()).unwrap_or_default();
-    trace.reopt = outcome.report.clone();
-    Ok((outcome, trace))
-}
-
-/// The checkpoint-loop driver shared by every re-optimizing entry point;
-/// `ctx` already carries `state` on [`ExecContext::reopt`].
-fn drive(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    state: &Arc<ReoptState>,
-    ctx: &ExecContext,
-) -> Result<ReoptOutcome, ExecError> {
-    let io_before = db.disk.stats();
+    sink: Sink,
+) -> Result<(u64, Vec<Tuple>, Option<ReoptOutcome>), ExecError> {
+    let Some(state) = ctx.reopt.as_ref() else {
+        let (rows, collected) = run(plan, db, catalog, env, bindings, ctx, sink)?;
+        return Ok((rows, collected, None));
+    };
 
     let mut exec_bindings = bindings.clone();
     let mut startup =
@@ -836,9 +670,7 @@ fn drive(
             break;
         };
         done.insert(target.id);
-        let memory_bytes = grant_bytes(&exec_bindings, env, catalog);
-        let rows = match materialize(&target, db, catalog, env, &exec_bindings, memory_bytes, ctx)
-        {
+        let rows = match materialize(&target, db, catalog, env, &exec_bindings, ctx) {
             Ok(rows) => rows,
             Err(e) if e.is_retryable() => {
                 // A faulted checkpoint is abandoned, not fatal: the final
@@ -913,9 +745,8 @@ fn drive(
     // arbitrate with the observations applied and the compiler serves
     // retained intermediates in place of their subtrees.
     state.release_reservations(&ctx.governor);
-    let memory_bytes = grant_bytes(&exec_bindings, env, catalog);
-    let rows = match run_collect(plan, db, catalog, env, &exec_bindings, memory_bytes, ctx) {
-        Ok(rows) => rows,
+    let (rows, collected) = match run(plan, db, catalog, env, &exec_bindings, ctx, sink) {
+        Ok(drained) => drained,
         Err(e) if e.is_retryable() && replanned => {
             // Last rung before governed failure: suppress the
             // observations and continue the original plan.
@@ -924,8 +755,7 @@ fn drive(
             ));
             ctx.counters.add_fallbacks(1);
             exec_bindings = bindings.clone();
-            let memory_bytes = grant_bytes(&exec_bindings, env, catalog);
-            run_collect(plan, db, catalog, env, &exec_bindings, memory_bytes, ctx)?
+            run(plan, db, catalog, env, &exec_bindings, ctx, sink)?
         }
         Err(e) => return Err(e),
     };
@@ -934,27 +764,16 @@ fn drive(
     // inputs reproduce the choose-plan operators' own decisions).
     let startup =
         evaluate_startup_observed(plan, catalog, env, &exec_bindings, &state.observations());
-    let io = db.disk.stats().since(&io_before);
-    let summary = ExecSummary {
-        rows: rows.len() as u64,
-        cpu: ctx.counters.snapshot(),
-        io,
-        fallbacks: ctx.counters.fallbacks(),
-        ..ExecSummary::default()
-    };
     let report = state.report();
-    Ok(ReoptOutcome {
-        summary,
-        startup,
-        report,
-        rows,
-    })
+    Ok((rows, collected, Some(ReoptOutcome { startup, report })))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::drain;
+    use crate::compile::execute;
+    use crate::governor::{ExecMode, ResourceLimits};
+    use crate::metrics::SharedCounters;
     use dqep_algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
     use dqep_catalog::{CatalogBuilder, SystemConfig};
     use dqep_core::Optimizer;
@@ -1005,6 +824,34 @@ mod tests {
         }
     }
 
+    /// A re-optimizing batch-mode execution collecting its rows.
+    fn reopt_run(
+        plan: &Arc<PlanNode>,
+        db: &StoredDatabase,
+        cat: &Catalog,
+        env: &Environment,
+        bindings: &Bindings,
+        limits: ResourceLimits,
+    ) -> ReoptRun {
+        let ctx = ExecContext::with_limits(SharedCounters::new(), limits)
+            .with_reopt(Arc::new(ReoptState::new(quick_config())));
+        let exec = execute(plan, db, cat, env, bindings, &ctx, Sink::Collect).unwrap();
+        let ReoptOutcome { startup, report } = exec.reopt.unwrap();
+        ReoptRun {
+            summary: exec.summary,
+            startup,
+            report,
+            rows: exec.rows,
+        }
+    }
+
+    struct ReoptRun {
+        summary: crate::metrics::ExecSummary,
+        startup: StartupResult,
+        report: ReoptReport,
+        rows: Vec<Tuple>,
+    }
+
     /// Baseline result and I/O of the plain dynamic execution.
     fn baseline(
         plan: &Arc<PlanNode>,
@@ -1013,12 +860,17 @@ mod tests {
         env: &Environment,
         bindings: &Bindings,
     ) -> Vec<Tuple> {
-        let grant = grant_bytes(bindings, env, cat);
-        let ctx = ExecContext::new(SharedCounters::new());
-        let mut op =
-            crate::choose::compile_dynamic_plan(plan, db, cat, env, bindings, grant, &ctx)
-                .unwrap();
-        drain(op.as_mut()).unwrap()
+        execute(
+            plan,
+            db,
+            cat,
+            env,
+            bindings,
+            &ExecContext::default(),
+            Sink::Collect,
+        )
+        .unwrap()
+        .rows
     }
 
     #[test]
@@ -1034,24 +886,19 @@ mod tests {
             next_blocking_input(&plan, &chosen_map(&startup.decisions), &HashSet::new())
                 .expect("the join fixture has a blocking input");
         let before = db.disk.stats();
-        let ctx = ExecContext::new(SharedCounters::new());
-        materialize(&target, &db, &cat, &env, &bindings, grant, &ctx).unwrap();
+        materialize(&target, &db, &cat, &env, &bindings, &ExecContext::default()).unwrap();
         let subtree_io = db.disk.stats().since(&before);
         assert!(subtree_io.total() > 0, "the build side reads its relation");
 
         let before = db.disk.stats();
-        let outcome = execute_plan_reopt(
+        let outcome = reopt_run(
             &plan,
             &db,
             &cat,
             &env,
             &bindings,
             ResourceLimits::unlimited(),
-            ExecMode::Batch,
-            1,
-            quick_config(),
-        )
-        .unwrap();
+        );
         assert_eq!(
             sorted(outcome.rows.clone()),
             sorted(base_rows),
@@ -1077,7 +924,7 @@ mod tests {
             &ctx,
         )
         .unwrap();
-        let scratch_rows = drain(scratch.as_mut()).unwrap().len();
+        let scratch_rows = drain(scratch.as_mut(), ExecMode::Tuple).unwrap().len();
         let scratch_io = db.disk.stats().since(&before);
         assert_eq!(scratch_rows, outcome.rows.len(), "same adopted plan");
         assert!(
@@ -1101,18 +948,14 @@ mod tests {
             fail_nth_reads: vec![1, 2],
             ..FaultPlan::default()
         });
-        let outcome = execute_plan_reopt(
+        let outcome = reopt_run(
             &plan,
             &db,
             &cat,
             &env,
             &bindings,
             ResourceLimits::unlimited(),
-            ExecMode::Batch,
-            1,
-            quick_config(),
-        )
-        .unwrap();
+        );
         db.disk.set_fault_plan(FaultPlan::none());
         assert_eq!(
             sorted(outcome.rows.clone()),
@@ -1144,18 +987,7 @@ mod tests {
             memory_bytes: Some(64 * 1024),
             ..ResourceLimits::default()
         };
-        let outcome = execute_plan_reopt(
-            &plan,
-            &db,
-            &cat,
-            &env,
-            &bindings,
-            limits,
-            ExecMode::Batch,
-            1,
-            quick_config(),
-        )
-        .unwrap();
+        let outcome = reopt_run(&plan, &db, &cat, &env, &bindings, limits);
         assert_eq!(
             sorted(outcome.rows.clone()),
             sorted(base_rows),
@@ -1166,16 +998,6 @@ mod tests {
             c.memory_degradations >= 1,
             "the refused retention must degrade, not fail: {c:?}"
         );
-    }
-
-    #[test]
-    fn escape_check_uses_drift_slack() {
-        let card = Interval::new(10.0, 20.0);
-        assert!(!escapes_interval(10.0, card));
-        assert!(!escapes_interval(20.4, card), "within half-row slack");
-        assert!(escapes_interval(21.0, card));
-        assert!(escapes_interval(8.0, card));
-        assert!(!escapes_interval(30.0, Interval::new(0.0, 30.0)));
     }
 
     #[test]
@@ -1261,13 +1083,10 @@ mod tests {
         for mode in [ExecMode::Tuple, ExecMode::Batch] {
             let ctx = ExecContext::new(SharedCounters::new()).with_mode(mode);
             let mut op = MaterializedScanExec::new(Arc::clone(&rows), layout.clone(), ctx);
-            let got = match mode {
-                ExecMode::Tuple => drain(&mut op).unwrap(),
-                ExecMode::Batch => drain_batch(&mut op).unwrap(),
-            };
+            let got = drain(&mut op, mode).unwrap();
             assert_eq!(got, *rows);
             // Re-open serves again from the start.
-            let again = drain(&mut op).unwrap();
+            let again = drain(&mut op, ExecMode::Tuple).unwrap();
             assert_eq!(again, *rows);
         }
     }

@@ -371,7 +371,8 @@ pub struct TraceReport {
     /// Choose-plan audits, in arbitration order.
     pub audits: Vec<ChooseAudit>,
     /// Mid-query re-optimization audit trail; empty (the default) unless
-    /// the execution ran with [`crate::execute_plan_reopt_traced`].
+    /// the traced [`crate::execute`] call also carried a
+    /// [`crate::ReoptState`].
     pub reopt: crate::reopt::ReoptReport,
 }
 

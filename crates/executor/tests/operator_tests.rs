@@ -235,8 +235,11 @@ proptest! {
         let env = Environment::dynamic_uncertain_memory(&cat.config);
         let plan = dqep_core::Optimizer::new(&cat, &env).optimize(&q).unwrap().plan;
         let bindings = Bindings::new().with_value(HostVar(0), sel_v).with_memory(mem as f64);
-        let (summary, _) =
-            dqep_executor::execute_plan(&plan, &db, &cat, &env, &bindings).unwrap();
+        let ctx = dqep_executor::ExecContext::default();
+        let sink = dqep_executor::Sink::Count;
+        let summary = dqep_executor::execute(&plan, &db, &cat, &env, &bindings, &ctx, sink)
+            .unwrap()
+            .summary;
 
         let r_rows = rows_of(&cat, &db, "r");
         let s_rows = rows_of(&cat, &db, "s");

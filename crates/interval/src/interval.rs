@@ -139,6 +139,24 @@ impl Interval {
         self.lo <= other.lo && other.hi <= self.hi
     }
 
+    /// Whether an observed value leaves this interval — the one escape
+    /// predicate behind EXPLAIN ANALYZE drift flags, mid-query
+    /// re-optimization checkpoints, live-view drift re-arbitration and the
+    /// service's cardinality feedback.
+    ///
+    /// The bounds are first widened by the multiplicative `tolerance`
+    /// (clamped to at least 1) to `[lo / tolerance, hi · tolerance]`, then
+    /// by the additive `slack` on each side; `observed` escapes iff it lies
+    /// strictly outside the result, so the widened boundary itself does not
+    /// escape. Meant for non-negative quantities (cardinalities, costs).
+    #[must_use]
+    pub fn escapes(self, observed: f64, tolerance: f64, slack: Slack) -> bool {
+        let tolerance = tolerance.max(1.0);
+        let (lo, hi) = (self.lo / tolerance, self.hi * tolerance);
+        let s = slack.abs + slack.rel * hi.abs().max(1.0);
+        observed < lo - s || observed > hi + s
+    }
+
     /// Whether the two intervals share at least one value.
     #[must_use]
     pub fn overlaps(self, other: Interval) -> bool {
@@ -315,6 +333,26 @@ impl Interval {
     }
 }
 
+/// The additive slack [`Interval::escapes`] grants on each side of the
+/// widened interval: `abs + rel · max(|hi|, 1)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Slack {
+    /// Absolute slack.
+    pub abs: f64,
+    /// Slack relative to the widened upper bound.
+    pub rel: f64,
+}
+
+impl Slack {
+    /// Cardinality slack: half a row absolute (interval bounds are
+    /// real-valued expectations, observed counts are integers) plus a hair
+    /// of relative slack for float noise.
+    pub const ROWS: Slack = Slack {
+        abs: 0.5,
+        rel: 1e-9,
+    };
+}
+
 impl Default for Interval {
     fn default() -> Self {
         Interval::ZERO
@@ -410,6 +448,42 @@ mod tests {
         assert_eq!(iv.width(), 2.0);
         assert_eq!(iv.midpoint(), 2.0);
         assert!(Interval::point(5.0).is_point());
+    }
+
+    #[test]
+    fn escape_boundaries() {
+        let iv = Interval::new(10.0, 20.0);
+        let s = 0.5 + 1e-9 * 20.0; // row slack at tolerance 1
+        let s2 = 0.5 + 1e-9 * 40.0; // row slack at tolerance 2 (hi widened to 40)
+        let cases: [(Interval, f64, f64, bool); 12] = [
+            // (interval, observed, tolerance, escapes)
+            (iv, 10.0 - s, 1.0, false),
+            (iv, 10.0 - s - 1e-6, 1.0, true),
+            (iv, 20.0 + s, 1.0, false),
+            (iv, 20.0 + s + 1e-6, 1.0, true),
+            (iv, 21.0, 1.0, true),
+            (iv, 21.0, 2.0, false),
+            (iv, 5.0 - s2, 2.0, false),
+            (iv, 4.0, 2.0, true),
+            (iv, 40.0 + s2 + 1e-6, 2.0, true),
+            (iv, 0.0, 1.0, true),
+            (Interval::new(0.0, 30.0), 0.0, 1.0, false),
+            (Interval::new(0.0, 30.0), 0.0, 0.5, false), // tolerance clamps to 1
+        ];
+        for (i, &(iv, observed, tolerance, want)) in cases.iter().enumerate() {
+            assert_eq!(
+                iv.escapes(observed, tolerance, Slack::ROWS),
+                want,
+                "case {i}"
+            );
+        }
+        // The cost slack: 1e-6 absolute plus 5% of the upper bound.
+        let cost = Slack {
+            abs: 1e-6,
+            rel: 0.05,
+        };
+        assert!(!Interval::new(1.0, 2.0).escapes(2.1, 1.0, cost));
+        assert!(Interval::new(1.0, 2.0).escapes(2.2, 1.0, cost));
     }
 
     #[test]

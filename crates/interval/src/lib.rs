@@ -30,6 +30,6 @@ mod interval;
 mod ordering;
 mod param;
 
-pub use interval::{Interval, IntervalError, Monotonicity};
+pub use interval::{Interval, IntervalError, Monotonicity, Slack};
 pub use ordering::PartialCmp;
 pub use param::ParamValue;

@@ -14,8 +14,9 @@
 //! The dynamic-plans twist: arbitration chose a winner for the
 //! cardinalities *at registration time*. As writes accumulate, the view's
 //! observed cardinality can leave the interval the decision was priced
-//! on — detected with the same escape test mid-query re-optimization uses
-//! ([`dqep_executor::escapes_interval`]). When it fires, the registry
+//! on — detected with the same escape predicate mid-query
+//! re-optimization uses ([`Interval::escapes`], widened by the
+//! configured drift tolerance). When it fires, the registry
 //! re-runs start-up arbitration against the refreshed catalog with the
 //! observed cardinality pinned; if a *different* alternative now wins,
 //! the pipeline and its retained state are rebuilt from the new winner
@@ -29,10 +30,10 @@ use std::time::Instant;
 use dqep_catalog::{Catalog, RelationId};
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    compile_delta_plan, escapes_interval, execute_plan_traced, explain_json, BaseDeltas, Delta,
-    DeltaPipeline, ExecContext, ExecError, ExecMode, ResourceLimits, SharedCounters,
+    compile_delta_plan, execute, explain_json, BaseDeltas, Delta, DeltaPipeline, ExecContext,
+    ExecError, ExecMode, ResourceLimits, SharedCounters, Sink, Tracer,
 };
-use dqep_interval::Interval;
+use dqep_interval::{Interval, Slack};
 use dqep_plan::{evaluate_startup_observed, Observations, PlanNode, StartupResult};
 use dqep_sql::parse_query;
 use dqep_storage::{refresh_histograms, StorageError, StoredDatabase};
@@ -350,28 +351,31 @@ impl LiveViewRegistry {
         // The official materialization run: same dynamic plan, ordinary
         // executor, traced for EXPLAIN ANALYZE. Cross-checks the delta
         // seeding (cardinalities must agree) and produces the span tree.
-        let (summary, _, trace) = match execute_plan_traced(
+        let ctx = ExecContext::with_limits(SharedCounters::new(), self.config.limits)
+            .with_mode(self.config.mode)
+            .with_dop(self.config.dop)
+            .with_tracer(Arc::new(Tracer::new()));
+        let exec = match execute(
             plan,
             &self.db,
             &self.catalog,
             &self.env,
             bindings,
-            self.config.limits,
-            self.config.mode,
-            self.config.dop,
+            &ctx,
+            Sink::Count,
         ) {
-            Ok(r) => r,
+            Ok(exec) => exec,
             Err(e) => {
                 pipeline.release(&self.ctx.governor);
                 return Err(e);
             }
         };
         debug_assert_eq!(
-            summary.rows as usize,
+            exec.summary.rows as usize,
             content.values().map(|&c| c as usize).sum::<usize>(),
             "delta seeding and executor disagree on the view contents"
         );
-        let explain = explain_json(&trace, &self.catalog.config);
+        let explain = explain_json(&exec.trace.unwrap_or_default(), &self.catalog.config);
 
         Ok(LiveView {
             name: name.to_string(),
@@ -502,10 +506,10 @@ impl LiveViewRegistry {
             self.metrics.live_refresh.record(started.elapsed());
 
             let actual = view.rows() as f64;
-            let tol = self.config.drift_tolerance.max(1.0);
-            let band =
-                Interval::new(view.bind_interval.lo() / tol, view.bind_interval.hi() * tol);
-            if escapes_interval(actual, band) {
+            if view
+                .bind_interval
+                .escapes(actual, self.config.drift_tolerance, Slack::ROWS)
+            {
                 outcome.rearbitrations += 1;
                 self.rearbitrate(i, actual, &mut outcome)?;
             }
@@ -618,8 +622,6 @@ fn root_interval(startup: &StartupResult, plan: &Arc<PlanNode>) -> Interval {
 mod tests {
     use super::*;
     use dqep_catalog::{make_chain_catalog, CatalogBuilder, SyntheticSpec, SystemConfig};
-    use dqep_executor::{compile_plan, drain};
-    use dqep_plan::evaluate_startup;
     use dqep_storage::FaultPlan;
 
     const CHAIN_SQL: &str =
@@ -649,12 +651,18 @@ mod tests {
             .unwrap()
             .plan;
         let bindings = query.bindings(binds).unwrap();
-        let startup = evaluate_startup(&plan, cat, &env, &bindings);
-        let ctx = ExecContext::new(SharedCounters::new());
-        let mut op =
-            compile_plan(&startup.resolved, reg.database(), cat, &bindings, 1 << 22, &ctx)
-                .unwrap();
-        let mut rows = drain(op.as_mut()).unwrap();
+        let ctx = ExecContext::default();
+        let mut rows = execute(
+            &plan,
+            reg.database(),
+            cat,
+            &env,
+            &bindings,
+            &ctx,
+            Sink::Collect,
+        )
+        .unwrap()
+        .rows;
         rows.sort_unstable();
         rows
     }

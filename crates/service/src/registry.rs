@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use dqep_interval::{Interval, Slack};
 use dqep_plan::{NodeId, Observations, PlanNode};
 use dqep_sql::Query;
 use parking_lot::Mutex;
@@ -111,26 +112,24 @@ impl PreparedStatement {
     /// Feeds one execution's observed root cardinality back into the
     /// statement. If the observation leaves the current estimate interval
     /// — the compile-time interval, or a previously pinned observation —
-    /// by more than a factor of `tolerance`, the observation is recorded
+    /// by more than a factor of `tolerance` (plus half a row,
+    /// [`Interval::escapes`]), the observation is recorded
     /// (keyed by the dynamic plan root, so choose-plan equivalence-class
     /// expansion propagates it to every alternative), the decision cache
     /// is cleared, and later arbitrations re-optimize against the observed
     /// value. Returns whether an invalidation happened.
     pub fn record_feedback(&self, observed_rows: u64, tolerance: f64) -> bool {
-        let tolerance = tolerance.max(1.0);
-        let observed = (observed_rows as f64).max(1.0);
+        // Cardinalities below one row are read as one: an empty result
+        // says nothing a one-row estimate did not.
         let mut observations = self.observations.lock();
-        let (lo, hi) = match observations.get(&self.plan.id) {
-            Some(&pinned) => {
-                let p = pinned.max(1.0);
-                (p / tolerance, p * tolerance)
-            }
+        let estimate = match observations.get(&self.plan.id) {
+            Some(&pinned) => Interval::point(pinned.max(1.0)),
             None => {
                 let card = self.plan.stats.card;
-                (card.lo().max(1.0) / tolerance, card.hi().max(1.0) * tolerance)
+                Interval::new(card.lo().max(1.0), card.hi().max(1.0))
             }
         };
-        if observed >= lo && observed <= hi {
+        if !estimate.escapes((observed_rows as f64).max(1.0), tolerance, Slack::ROWS) {
             return false;
         }
         observations.insert(self.plan.id, observed_rows as f64);

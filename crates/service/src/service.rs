@@ -17,8 +17,8 @@ use dqep_catalog::Catalog;
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    execute_plan_reopt_ctx, run_compiled, run_dynamic, ExecContext, ExecMode, ExecSummary,
-    PlanCacheInfo, ReoptConfig, ResourceLimits, SharedCounters,
+    execute, ExecContext, ExecMode, ExecSummary, PlanCacheInfo, ReoptConfig, ReoptState,
+    ResourceLimits, SharedCounters, Sink,
 };
 use dqep_plan::evaluate_startup_observed;
 use dqep_sql::parse_query;
@@ -64,10 +64,10 @@ pub struct ServiceConfig {
     /// actually runs with is bounded by its admitted memory grant — see
     /// [`ServiceConfig::effective_dop`].
     pub dop: usize,
-    /// Mid-query re-optimization budget. `Some`: every session runs
-    /// through [`dqep_executor::execute_plan_reopt_ctx`] — checkpoints at
-    /// the pipeline breakers, bounded re-planning on cardinality escape —
-    /// and its escape observations feed the statement's decision cache.
+    /// Mid-query re-optimization budget. `Some`: every session executes
+    /// with a [`ReoptState`] on its context — checkpoints at the pipeline
+    /// breakers, bounded re-planning on cardinality escape — and its
+    /// escape observations feed the statement's decision cache.
     /// `None` (the default): sessions run the cached-decision fast path.
     pub reopt: Option<ReoptConfig>,
 }
@@ -508,17 +508,8 @@ impl Worker {
                         (fresh, false)
                     }
                 };
-                self.execute_arbitrated(
-                    db,
-                    env,
-                    &ctx,
-                    &stmt,
-                    &key,
-                    &decision,
-                    &bindings,
-                    memory_bytes as usize,
-                )
-                .map(|rows| (rows, decision.predicted_seconds, decision_hit))
+                self.execute_arbitrated(db, env, &ctx, &stmt, &key, &decision, &bindings)
+                    .map(|rows| (rows, decision.predicted_seconds, decision_hit))
             }
         };
         let io = db.disk.stats().since(&io_before);
@@ -570,22 +561,32 @@ impl Worker {
         bindings: &Bindings,
         reopt_config: ReoptConfig,
     ) -> Result<(u64, f64, bool), ServiceError> {
-        let outcome =
-            execute_plan_reopt_ctx(&stmt.plan, db, &self.catalog, env, bindings, reopt_config, ctx)
-                .map_err(ServiceError::Exec)?;
-        self.metrics.record_reopt(&outcome.report.counters);
-        let escaped = outcome.report.escaped_observations();
-        if !escaped.is_empty() {
-            for (node, cardinality) in &escaped {
-                stmt.observe(*node, *cardinality);
+        let ctx = ctx
+            .clone()
+            .with_reopt(Arc::new(ReoptState::new(reopt_config)));
+        let exec = execute(
+            &stmt.plan,
+            db,
+            &self.catalog,
+            env,
+            bindings,
+            &ctx,
+            Sink::Count,
+        )
+        .map_err(ServiceError::Exec)?;
+        let mut predicted_seconds = 0.0;
+        if let Some(outcome) = &exec.reopt {
+            self.metrics.record_reopt(&outcome.report.counters);
+            let escaped = outcome.report.escaped_observations();
+            if !escaped.is_empty() {
+                for (node, cardinality) in &escaped {
+                    stmt.observe(*node, *cardinality);
+                }
+                self.stats.lock().feedback_invalidations += 1;
             }
-            self.stats.lock().feedback_invalidations += 1;
+            predicted_seconds = outcome.startup.predicted_run_seconds;
         }
-        Ok((
-            outcome.summary.rows,
-            outcome.startup.predicted_run_seconds,
-            false,
-        ))
+        Ok((exec.summary.rows, predicted_seconds, false))
     }
 
     /// Registry lookup, or parse + optimize on a miss. The double-checked
@@ -627,31 +628,17 @@ impl Worker {
         key: &crate::decision::RegionKey,
         decision: &CachedDecision,
         bindings: &Bindings,
-        memory_bytes: usize,
     ) -> Result<u64, ServiceError> {
-        match run_compiled(
-            &decision.resolved,
-            db,
-            &self.catalog,
-            bindings,
-            memory_bytes,
-            ctx,
-        ) {
-            Ok(rows) => Ok(rows),
+        let run = |plan| execute(plan, db, &self.catalog, env, bindings, ctx, Sink::Count);
+        match run(&decision.resolved) {
+            Ok(exec) => Ok(exec.summary.rows),
             Err(e) if e.is_retryable() => {
                 stmt.invalidate_decision(key);
                 self.stats.lock().cached_plan_retries += 1;
                 ctx.counters.add_fallbacks(1);
-                run_dynamic(
-                    &stmt.plan,
-                    db,
-                    &self.catalog,
-                    env,
-                    bindings,
-                    memory_bytes,
-                    ctx,
-                )
-                .map_err(ServiceError::Exec)
+                run(&stmt.plan)
+                    .map(|exec| exec.summary.rows)
+                    .map_err(ServiceError::Exec)
             }
             Err(e) => Err(ServiceError::Exec(e)),
         }

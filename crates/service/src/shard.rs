@@ -36,12 +36,11 @@ use dqep_catalog::{AttrId, Catalog, RelationId};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    compile_dynamic_plan, credit_frames, decode_frame_traced, drain, drain_batch,
-    encode_frame_traced, execute_plan_reopt_ctx, journal, merge_distributed, presized_batch,
-    scatter_by_shard, ChooseAudit, EventKind, ExecContext, ExecError, ExecMode, FrameTrace,
-    LinkFaultPlan, NetChannel, NetConfig, NetSpanStats, NetStats, ReoptConfig, ResourceLimits,
-    RowBatch, SharedCounters, SimNet, SpanId, SpanStats, TraceReport, Tracer, Tuple, TupleLayout,
-    BATCH_CAPACITY, NO_ID,
+    credit_frames, decode_frame_traced, encode_frame_traced, execute, journal, merge_distributed,
+    presized_batch, scatter_by_shard, ChooseAudit, EventKind, ExecContext, ExecError, ExecMode,
+    FrameTrace, LinkFaultPlan, NetChannel, NetConfig, NetSpanStats, NetStats, ReoptConfig,
+    ReoptState, ResourceLimits, RowBatch, SharedCounters, SimNet, Sink, SpanId, SpanStats,
+    TraceReport, Tracer, Tuple, TupleLayout, BATCH_CAPACITY, NO_ID,
 };
 use dqep_plan::{evaluate_startup, PlanNode};
 use dqep_sql::{parse_query, ParsedPredicate};
@@ -462,13 +461,8 @@ impl ShardedService {
         if let Some(pages) = self.config.memory_pages {
             bindings = bindings.with_memory(pages);
         }
-        let memory_pages = bindings
-            .memory_pages
-            .unwrap_or_else(|| self.env.memory.expected());
-        let memory_bytes = (memory_pages * f64::from(self.catalog.config.page_size)) as usize;
-
         let plan = self.distribute(&query.expr, &query.predicates, query.order_by, &bindings)?;
-        let outcome = self.run(&plan, &bindings, memory_bytes);
+        let outcome = self.run(&plan, &bindings);
         match &outcome {
             Ok(ok) => {
                 for audit in ok.audits.iter().flatten() {
@@ -557,12 +551,7 @@ impl ShardedService {
 
     /// Runs the distributed plan: one worker thread per shard, the
     /// coordinator draining the gather links on the current thread.
-    fn run(
-        &self,
-        plan: &DistPlan,
-        bindings: &Bindings,
-        memory_bytes: usize,
-    ) -> Result<ShardOutcome, ServiceError> {
+    fn run(&self, plan: &DistPlan, bindings: &Bindings) -> Result<ShardOutcome, ServiceError> {
         let n = self.shards.len();
         let net_before = self.net.stats();
         let (mut wires, gather_rx, link_handles) = self.wire_up(plan, n);
@@ -595,7 +584,6 @@ impl ShardedService {
                         &shard_wires,
                         env,
                         bindings,
-                        memory_bytes,
                         config,
                         tracer,
                         &metrics,
@@ -851,7 +839,6 @@ fn run_shard(
     wires: &ShardWires,
     env: &Environment,
     bindings: &Bindings,
-    memory_bytes: usize,
     config: &ShardConfig,
     tracer: Arc<Tracer>,
     metrics: &MetricsRegistry,
@@ -876,7 +863,6 @@ fn run_shard(
         &plan.access[0],
         env,
         bindings,
-        memory_bytes,
         config,
         &ctx,
         metrics,
@@ -891,7 +877,6 @@ fn run_shard(
             &plan.access[j + 1],
             env,
             bindings,
-            memory_bytes,
             config,
             &ctx,
             metrics,
@@ -947,26 +932,36 @@ fn run_shard(
 
 /// Runs one per-relation access plan locally. The plan still carries its
 /// choose operators (unless the coordinator pre-resolved them), so
-/// compiling against the *shard's* catalog is what turns bind-time
+/// executing against the *shard's* catalog is what turns bind-time
 /// arbitration into a per-shard decision — the audit lands in the
 /// shard's tracer. With re-optimization enabled, the access stage runs
-/// through the checkpointing driver instead, and the start-up decisions
-/// are synthesized into audits.
+/// with a fresh [`ReoptState`] on its context, and the start-up
+/// decisions are synthesized into audits.
 #[allow(clippy::too_many_arguments)]
 fn run_access(
     shard: &Shard,
     plan: &Arc<PlanNode>,
     env: &Environment,
     bindings: &Bindings,
-    memory_bytes: usize,
     config: &ShardConfig,
     ctx: &ExecContext,
     metrics: &MetricsRegistry,
     synth_audits: &mut Vec<ChooseAudit>,
 ) -> Result<Vec<Tuple>, ExecError> {
-    if let Some(reopt) = config.reopt {
-        let outcome =
-            execute_plan_reopt_ctx(plan, &shard.db, &shard.catalog, env, bindings, reopt, ctx)?;
+    let ctx = match config.reopt {
+        Some(reopt) => ctx.clone().with_reopt(Arc::new(ReoptState::new(reopt))),
+        None => ctx.clone(),
+    };
+    let exec = execute(
+        plan,
+        &shard.db,
+        &shard.catalog,
+        env,
+        bindings,
+        &ctx,
+        Sink::Collect,
+    )?;
+    if let Some(outcome) = &exec.reopt {
         metrics.record_reopt(&outcome.report.counters);
         for d in &outcome.startup.decisions {
             synth_audits.push(ChooseAudit {
@@ -980,14 +975,8 @@ fn run_access(
                 fallbacks: 0,
             });
         }
-        return Ok(outcome.rows);
     }
-    let mut op =
-        compile_dynamic_plan(plan, &shard.db, &shard.catalog, env, bindings, memory_bytes, ctx)?;
-    match ctx.mode {
-        ExecMode::Tuple => drain(op.as_mut()),
-        ExecMode::Batch => drain_batch(op.as_mut()),
-    }
+    Ok(exec.rows)
 }
 
 /// One repartitioning exchange: hash-scatters `rows` on `key` across all

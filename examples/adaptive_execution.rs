@@ -17,8 +17,9 @@
 use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
 use dqep::catalog::{CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
-use dqep::executor::{execute_adaptive, execute_plan};
+use dqep::executor::{execute, execute_adaptive, ExecContext, Sink};
 use dqep::optimizer::Optimizer;
+use dqep::plan::evaluate_startup;
 use dqep::storage::{install_histograms, StoredDatabase, ValueDistribution};
 
 fn main() {
@@ -56,8 +57,11 @@ fn main() {
     let bindings = Bindings::new().with_value(HostVar(0), 25);
     let cfg = &catalog.config;
 
-    let (blind, blind_startup) =
-        execute_plan(&plan, &db, &catalog, &env, &bindings).expect("execute");
+    let blind_startup = evaluate_startup(&plan, &catalog, &env, &bindings);
+    let ctx = ExecContext::default();
+    let blind = execute(&plan, &db, &catalog, &env, &bindings, &ctx, Sink::Count)
+        .expect("execute")
+        .summary;
     println!(
         "blind      : {:8} rows  {:.4}s  (root: {})",
         blind.rows,
@@ -71,8 +75,19 @@ fn main() {
         .optimize(&query)
         .expect("optimize")
         .plan;
-    let (hist, hist_startup) =
-        execute_plan(&hist_plan, &db, &hist_catalog, &env, &bindings).expect("execute");
+    let hist_startup = evaluate_startup(&hist_plan, &hist_catalog, &env, &bindings);
+    let ctx = ExecContext::default();
+    let hist = execute(
+        &hist_plan,
+        &db,
+        &hist_catalog,
+        &env,
+        &bindings,
+        &ctx,
+        Sink::Count,
+    )
+    .expect("execute")
+    .summary;
     println!(
         "histograms : {:8} rows  {:.4}s  (root: {})",
         hist.rows,

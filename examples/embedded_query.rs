@@ -10,7 +10,7 @@
 //! Run with `cargo run --release --example embedded_query`.
 
 use dqep::cost::Environment;
-use dqep::executor::execute_plan;
+use dqep::executor::{execute, ExecContext, Sink};
 use dqep::harness::{paper_query, BindingSampler};
 use dqep::optimizer::Optimizer;
 use dqep::storage::StoredDatabase;
@@ -41,8 +41,30 @@ fn main() {
     );
     let (mut total_static, mut total_dynamic) = (0.0, 0.0);
     for (i, b) in bindings.iter().enumerate() {
-        let (st, _) = execute_plan(&static_plan, &db, catalog, &static_env, b).expect("exec");
-        let (dy, _) = execute_plan(&dynamic_plan, &db, catalog, &dynamic_env, b).expect("exec");
+        let ctx = ExecContext::default();
+        let st = execute(
+            &static_plan,
+            &db,
+            catalog,
+            &static_env,
+            b,
+            &ctx,
+            Sink::Count,
+        )
+        .expect("exec")
+        .summary;
+        let ctx = ExecContext::default();
+        let dy = execute(
+            &dynamic_plan,
+            &db,
+            catalog,
+            &dynamic_env,
+            b,
+            &ctx,
+            Sink::Count,
+        )
+        .expect("exec")
+        .summary;
         let st_s = st.simulated_seconds(&catalog.config);
         let dy_s = dy.simulated_seconds(&catalog.config);
         assert_eq!(st.rows, dy.rows, "both plans compute the same result");

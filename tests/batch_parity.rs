@@ -15,14 +15,28 @@ use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, PhysicalOp, Selec
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Cost, Environment, PlanStats};
 use dqep::executor::{
-    compile_dynamic_plan, drain, drain_batch, execute_plan_mode, ExecContext, ExecError, ExecMode,
-    ExecSummary, ResourceLimits, SharedCounters,
+    compile_dynamic_plan, drain, execute, ExecContext, ExecError, ExecMode, ExecSummary,
+    ResourceLimits, SharedCounters, Sink,
 };
 use dqep::interval::Interval;
 use dqep::optimizer::Optimizer;
 use dqep::plan::{PlanNode, PlanNodeBuilder};
 use dqep::storage::{FaultPlan, StoredDatabase};
 use proptest::prelude::*;
+
+/// Executes `plan` end to end under `limits` in `mode`.
+fn run_mode(
+    plan: &Arc<PlanNode>,
+    db: &StoredDatabase,
+    catalog: &Catalog,
+    env: &Environment,
+    bindings: &Bindings,
+    limits: ResourceLimits,
+    mode: ExecMode,
+) -> Result<ExecSummary, ExecError> {
+    let ctx = ExecContext::with_limits(SharedCounters::new(), limits).with_mode(mode);
+    execute(plan, db, catalog, env, bindings, &ctx, Sink::Count).map(|exec| exec.summary)
+}
 
 /// Coarse error class: variant (and resource kind) only. Exact payloads
 /// may legitimately differ — e.g. a refused memory reservation reports
@@ -176,13 +190,13 @@ proptest! {
         // `set_fault_plan` resets the fault ordinals, so each mode sees
         // the exact same fault sequence.
         db.disk.set_fault_plan(fault.clone());
-        let tuple = execute_plan_mode(&plan, &db, &catalog, &env, &bindings, limits, ExecMode::Tuple);
+        let tuple = run_mode(&plan, &db, &catalog, &env, &bindings, limits, ExecMode::Tuple);
         db.disk.set_fault_plan(fault);
-        let batch = execute_plan_mode(&plan, &db, &catalog, &env, &bindings, limits, ExecMode::Batch);
+        let batch = run_mode(&plan, &db, &catalog, &env, &bindings, limits, ExecMode::Batch);
         db.disk.set_fault_plan(FaultPlan::none());
 
         match (tuple, batch) {
-            (Ok((t, _)), Ok((b, _))) => {
+            (Ok(t), Ok(b)) => {
                 prop_assert_eq!(t.rows, b.rows, "result row counts diverged");
                 prop_assert_eq!(t.fallbacks, b.fallbacks, "fallback counts diverged");
                 if hazard != 2 || t.fallbacks == 0 {
@@ -196,12 +210,12 @@ proptest! {
             (t, b) => prop_assert!(
                 false,
                 "one mode succeeded while the other failed: tuple={:?} batch={:?}",
-                t.map(|(s, _)| s.rows), b.map(|(s, _)| s.rows)
+                t.map(|s| s.rows), b.map(|s| s.rows)
             ),
         }
     }
 
-    /// `drain` and `drain_batch` over the same compiled plan return the
+    /// `drain` in tuple and in batch mode over the same compiled plan return the
     /// *same tuples in the same order*, not just the same count.
     #[test]
     fn drained_tuples_are_identical(
@@ -221,11 +235,11 @@ proptest! {
 
         let ctx = ExecContext::new(SharedCounters::new()).with_mode(ExecMode::Tuple);
         let mut op = compile_dynamic_plan(&plan, &db, &catalog, &env, &bindings, memory, &ctx).unwrap();
-        let tuple_rows = drain(op.as_mut()).unwrap();
+        let tuple_rows = drain(op.as_mut(), ExecMode::Tuple).unwrap();
 
         let ctx = ExecContext::new(SharedCounters::new()).with_mode(ExecMode::Batch);
         let mut op = compile_dynamic_plan(&plan, &db, &catalog, &env, &bindings, memory, &ctx).unwrap();
-        let batch_rows = drain_batch(op.as_mut()).unwrap();
+        let batch_rows = drain(op.as_mut(), ExecMode::Batch).unwrap();
 
         prop_assert_eq!(tuple_rows, batch_rows);
     }
@@ -269,10 +283,7 @@ fn memory_refusal_fallback_is_mode_independent() {
         let ctx = ExecContext::with_limits(SharedCounters::new(), limits).with_mode(mode);
         let mut op =
             compile_dynamic_plan(&choose, &db, &catalog, &env, &bindings, 64 * 2048, &ctx).unwrap();
-        let rows = match mode {
-            ExecMode::Tuple => drain(op.as_mut()).unwrap(),
-            ExecMode::Batch => drain_batch(op.as_mut()).unwrap(),
-        };
+        let rows = drain(op.as_mut(), mode).unwrap();
         assert_eq!(ctx.counters.fallbacks(), 1, "{mode:?}: expected one fallback");
         assert_eq!(ctx.governor.memory_used(), 0, "{mode:?}: leaked reservation");
         results.push((rows, ctx.counters.snapshot()));
@@ -368,13 +379,13 @@ fn filtered_probe_batches_join_identically_at_every_density() {
         let ctx = ExecContext::new(SharedCounters::new()).with_mode(ExecMode::Tuple);
         let mut op =
             compile_dynamic_plan(&join, &db, &catalog, &env, &bindings, 64 * 2048, &ctx).unwrap();
-        let tuple_rows = drain(op.as_mut()).unwrap();
+        let tuple_rows = drain(op.as_mut(), ExecMode::Tuple).unwrap();
         let tuple_counters = ctx.counters.snapshot();
 
         let ctx = ExecContext::new(SharedCounters::new()).with_mode(ExecMode::Batch);
         let mut op =
             compile_dynamic_plan(&join, &db, &catalog, &env, &bindings, 64 * 2048, &ctx).unwrap();
-        let batch_rows = drain_batch(op.as_mut()).unwrap();
+        let batch_rows = drain(op.as_mut(), ExecMode::Batch).unwrap();
         let batch_counters = ctx.counters.snapshot();
 
         assert_eq!(tuple_rows, batch_rows, "cutoff {cutoff}: tuples diverged");
@@ -461,10 +472,9 @@ fn row_budget_refusals_are_mode_independent_at_batch_boundaries() {
         };
         let mut outcomes = Vec::new();
         for mode in [ExecMode::Tuple, ExecMode::Batch] {
-            let result =
-                execute_plan_mode(&plan, &db, &catalog, &env, &bindings, limits, mode);
+            let result = run_mode(&plan, &db, &catalog, &env, &bindings, limits, mode);
             outcomes.push(match result {
-                Ok((s, _)) => format!("ok:{}:{:?}:{:?}", s.rows, s.io, s.cpu),
+                Ok(s) => format!("ok:{}:{:?}:{:?}", s.rows, s.io, s.cpu),
                 Err(e) => format!("err:{}", classify(&e)),
             });
         }
@@ -503,7 +513,7 @@ fn fault_ordinals_trip_identically_in_both_modes() {
         let mut outcomes = Vec::new();
         for mode in [ExecMode::Tuple, ExecMode::Batch] {
             db.disk.set_fault_plan(FaultPlan::parse(&format!("nth-read={nth}")).unwrap());
-            let result = execute_plan_mode(
+            let result = run_mode(
                 &plan,
                 &db,
                 &catalog,
@@ -514,7 +524,7 @@ fn fault_ordinals_trip_identically_in_both_modes() {
             );
             db.disk.set_fault_plan(FaultPlan::none());
             outcomes.push(match result {
-                Ok((s, _)) => format!("ok:{}", s.rows),
+                Ok(s) => format!("ok:{}", s.rows),
                 Err(e) => format!("err:{}", classify(&e)),
             });
         }

@@ -2,7 +2,7 @@
 //! optimizer's decisions and predictions.
 
 use dqep::cost::{Bindings, Environment};
-use dqep::executor::{compile_plan, execute_plan, ExecContext, ExecSummary, SharedCounters};
+use dqep::executor::{compile_plan, execute, ExecContext, ExecSummary, SharedCounters, Sink};
 use dqep::harness::{paper_query, BindingSampler};
 use dqep::optimizer::Optimizer;
 use dqep::plan::evaluate_startup;
@@ -90,8 +90,30 @@ fn executed_dynamic_beats_executed_static_on_average() {
     let mut sampler = BindingSampler::new(4, false);
     let (mut static_total, mut dynamic_total) = (0.0, 0.0);
     for b in sampler.sample_n(&w, 15) {
-        let (st, _) = execute_plan(&static_plan, &db, &w.catalog, &static_env, &b).unwrap();
-        let (dy, _) = execute_plan(&dynamic_plan, &db, &w.catalog, &dynamic_env, &b).unwrap();
+        let ctx = ExecContext::default();
+        let st = execute(
+            &static_plan,
+            &db,
+            &w.catalog,
+            &static_env,
+            &b,
+            &ctx,
+            Sink::Count,
+        )
+        .unwrap()
+        .summary;
+        let ctx = ExecContext::default();
+        let dy = execute(
+            &dynamic_plan,
+            &db,
+            &w.catalog,
+            &dynamic_env,
+            &b,
+            &ctx,
+            Sink::Count,
+        )
+        .unwrap()
+        .summary;
         assert_eq!(st.rows, dy.rows, "plans must agree on results");
         static_total += st.simulated_seconds(&w.catalog.config);
         dynamic_total += dy.simulated_seconds(&w.catalog.config);
@@ -118,7 +140,10 @@ fn predicted_and_executed_costs_correlate() {
     for sel in [0.02f64, 0.2, 0.5, 0.9] {
         let b = Bindings::new().with_value(w.host_vars[0].0, (sel * domain) as i64);
         let predicted = evaluate_startup(&plan, &w.catalog, &env, &b).predicted_run_seconds;
-        let (summary, _) = execute_plan(&plan, &db, &w.catalog, &env, &b).unwrap();
+        let ctx = ExecContext::default();
+        let summary = execute(&plan, &db, &w.catalog, &env, &b, &ctx, Sink::Count)
+            .unwrap()
+            .summary;
         points.push((predicted, summary.simulated_seconds(&w.catalog.config)));
     }
     for pair in points.windows(2) {
@@ -155,7 +180,10 @@ fn join_results_invariant_across_memory_grants() {
     let mut rows_by_memory = Vec::new();
     for mem in [16.0f64, 64.0, 112.0] {
         let b = base.clone().with_memory(mem);
-        let (summary, _) = execute_plan(&plan, &db, &w.catalog, &env, &b).unwrap();
+        let ctx = ExecContext::default();
+        let summary = execute(&plan, &db, &w.catalog, &env, &b, &ctx, Sink::Count)
+            .unwrap()
+            .summary;
         rows_by_memory.push(summary.rows);
     }
     assert!(

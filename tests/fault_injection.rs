@@ -16,8 +16,8 @@ use dqep::algebra::{CompareOp, HostVar, LogicalExpr, PhysicalOp, SelectPred};
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Cost, Environment, PlanStats};
 use dqep::executor::{
-    compile_dynamic_plan, drain, execute_plan, ExecContext, ExecError, ResourceLimits,
-    SharedCounters,
+    compile_dynamic_plan, drain, execute, ExecContext, ExecError, ExecMode, ResourceLimits,
+    SharedCounters, Sink,
 };
 use dqep::interval::Interval;
 use dqep::optimizer::Optimizer;
@@ -62,7 +62,8 @@ fn total_read_failure_is_an_error_not_a_panic() {
     let bindings = Bindings::new().with_value(HostVar(0), 200);
 
     db.disk.set_fault_plan(FaultPlan::probabilistic(1.0, 1));
-    let result = execute_plan(&plan, &db, &cat, &env, &bindings);
+    let ctx = ExecContext::default();
+    let result = execute(&plan, &db, &cat, &env, &bindings, &ctx, Sink::Count);
     db.disk.set_fault_plan(FaultPlan::none());
 
     let err = result.expect_err("all reads fail: execution cannot succeed");
@@ -70,7 +71,10 @@ fn total_read_failure_is_an_error_not_a_panic() {
     assert!(err.is_retryable());
 
     // The same query succeeds once the faults are gone.
-    let (summary, _) = execute_plan(&plan, &db, &cat, &env, &bindings).unwrap();
+    let ctx = ExecContext::default();
+    let summary = execute(&plan, &db, &cat, &env, &bindings, &ctx, Sink::Count)
+        .unwrap()
+        .summary;
     assert_eq!(summary.rows, expected_rows(&cat, &db, 200));
 }
 
@@ -90,7 +94,7 @@ fn spill_write_failure_is_an_error_not_a_panic() {
     let mut op =
         dqep::executor::compile_plan(&sort, &db, &cat, &Bindings::new(), 2048, &ctx).unwrap();
     db.disk.set_fault_plan(FaultPlan::parse("nth-write=1").unwrap());
-    let result = drain(op.as_mut());
+    let result = drain(op.as_mut(), ExecMode::Tuple);
     db.disk.set_fault_plan(FaultPlan::none());
     assert!(
         matches!(result, Err(ExecError::Storage(_))),
@@ -141,7 +145,7 @@ fn memory_exhausted_alternative_falls_back_to_the_same_rows() {
     // Direct run of the fallback alternative, ungoverned.
     let ctx = ExecContext::new(SharedCounters::new());
     let mut direct = dqep::executor::compile_plan(&btree, &db, &cat, &bindings, 2048, &ctx).unwrap();
-    let direct_rows = drain(direct.as_mut()).unwrap();
+    let direct_rows = drain(direct.as_mut(), ExecMode::Tuple).unwrap();
 
     // Governed run: the sort alternative cannot reserve even one page.
     let limits = ResourceLimits {
@@ -151,7 +155,7 @@ fn memory_exhausted_alternative_falls_back_to_the_same_rows() {
     let ctx = ExecContext::with_limits(SharedCounters::new(), limits);
     let mut op =
         compile_dynamic_plan(&choose, &db, &cat, &env, &bindings, 64 * 2048, &ctx).unwrap();
-    let rows = drain(op.as_mut()).unwrap();
+    let rows = drain(op.as_mut(), ExecMode::Tuple).unwrap();
 
     assert_eq!(rows, direct_rows, "fallback must deliver the fallback plan's rows");
     assert_eq!(rows.len(), 400);
@@ -183,11 +187,12 @@ proptest! {
         let mut fault = FaultPlan::probabilistic(prob, seed);
         fault.fail_nth_reads.push(nth);
         db.disk.set_fault_plan(fault);
-        let result = execute_plan(&plan, &db, &cat, &env, &bindings);
+        let ctx = ExecContext::default();
+        let result = execute(&plan, &db, &cat, &env, &bindings, &ctx, Sink::Count);
         db.disk.set_fault_plan(FaultPlan::none());
 
         match result {
-            Ok((summary, _)) => prop_assert_eq!(summary.rows, truth),
+            Ok(exec) => prop_assert_eq!(exec.summary.rows, truth),
             Err(e) => prop_assert!(
                 matches!(e, ExecError::Storage(_)),
                 "only storage faults are injected, got {:?}", e

@@ -86,7 +86,7 @@ fn full_rerun(reg: &LiveViewRegistry, sql: &str, binds: &[(&str, i64)]) -> Vec<V
     let ctx = ExecContext::new(SharedCounters::new());
     let mut op = compile_plan(&startup.resolved, reg.database(), cat, &bindings, 1 << 22, &ctx)
         .expect("ground truth compiles");
-    let mut rows = drain(op.as_mut()).expect("ground truth executes");
+    let mut rows = drain(op.as_mut(), ExecMode::Tuple).expect("ground truth executes");
     rows.sort_unstable();
     rows
 }

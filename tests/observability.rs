@@ -11,9 +11,9 @@ use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
 use dqep::executor::{
-    card_drift, compile_dynamic_plan, drain, execute_plan_dop, execute_plan_traced, explain_json,
-    render_explain, validate_explain_json, CpuCounters, ExecContext, ExecError, ExecMode,
-    ResourceLimits, SharedCounters, SpanStats, Tracer,
+    card_drift, compile_dynamic_plan, drain, execute, explain_json, render_explain,
+    validate_explain_json, CpuCounters, ExecContext, ExecError, ExecMode, ExecSummary,
+    SharedCounters, Sink, SpanStats, TraceReport, Tracer,
 };
 use dqep::optimizer::Optimizer;
 use dqep::plan::evaluate_startup_observed;
@@ -143,6 +143,24 @@ fn build(w: &RandomWorkload) -> (Catalog, LogicalExpr, Vec<(HostVar, f64)>) {
     (catalog, q, hosts)
 }
 
+/// Executes `plan` at `dop`, with per-operator tracing when `traced`.
+fn run_at_dop(
+    plan: &std::sync::Arc<dqep::plan::PlanNode>,
+    db: &StoredDatabase,
+    catalog: &Catalog,
+    env: &Environment,
+    bindings: &Bindings,
+    dop: usize,
+    traced: bool,
+) -> Result<(ExecSummary, Option<TraceReport>), ExecError> {
+    let mut ctx = ExecContext::default().with_dop(dop);
+    if traced {
+        ctx = ctx.with_tracer(std::sync::Arc::new(Tracer::new()));
+    }
+    execute(plan, db, catalog, env, bindings, &ctx, Sink::Count)
+        .map(|exec| (exec.summary, exec.trace))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -269,7 +287,7 @@ proptest! {
             let mut op =
                 compile_dynamic_plan(&plan, &db, &catalog, &env, &bindings, memory, &ctx)
                     .unwrap();
-            let rows = drain(op.as_mut()).unwrap();
+            let rows = drain(op.as_mut(), ExecMode::Tuple).unwrap();
             drop(op);
             let io = db.disk.stats().since(&io_before);
             (rows, ctx.counters.snapshot(), ctx.counters.fallbacks(), io)
@@ -296,8 +314,8 @@ proptest! {
         }
     }
 
-    /// Acceptance, parallel + fault path: `execute_plan_traced` agrees
-    /// with `execute_plan_dop` on rows, counters, I/O, and fallbacks at
+    /// Acceptance, parallel + fault path: a traced execution agrees
+    /// with an untraced one on rows, counters, I/O, and fallbacks at
     /// every DOP, and on the error class when storage faults kill both
     /// runs (exchange workers' deferred `pending_err` delivery included).
     #[test]
@@ -323,24 +341,18 @@ proptest! {
         } else {
             FaultPlan::none()
         };
-        let limits = ResourceLimits::unlimited();
-
         // Bit-identical replicas with identical fault sequences: each run
         // sees a fresh disk, so neither spill-allocation state nor fault
         // ordinals leak between the two runs.
         let db = StoredDatabase::generate(&catalog, seed);
         db.disk.set_fault_plan(fault.clone());
-        let plain = execute_plan_dop(
-            &plan, &db, &catalog, &env, &bindings, limits, ExecMode::default(), dop,
-        );
+        let plain = run_at_dop(&plan, &db, &catalog, &env, &bindings, dop, false);
         let db = StoredDatabase::generate(&catalog, seed);
         db.disk.set_fault_plan(fault);
-        let traced = execute_plan_traced(
-            &plan, &db, &catalog, &env, &bindings, limits, ExecMode::default(), dop,
-        );
+        let traced = run_at_dop(&plan, &db, &catalog, &env, &bindings, dop, true);
 
         match (plain, traced) {
-            (Ok((p, _)), Ok((t, _, report))) => {
+            (Ok((p, _)), Ok((t, Some(report)))) => {
                 prop_assert_eq!(p.rows, t.rows, "row counts diverged");
                 prop_assert_eq!(p.cpu, t.cpu, "CPU counters diverged");
                 if dop == 1 {
@@ -364,7 +376,7 @@ proptest! {
                 false,
                 "tracing changed the outcome: plain={:?} traced={:?}",
                 p.map(|(s, _)| s.rows),
-                t.map(|(s, _, _)| s.rows)
+                t.map(|(s, _)| s.rows)
             ),
         }
     }
@@ -541,17 +553,8 @@ fn explain_analyze_reports_estimates_actuals_and_audit() {
     let (catalog, db, query, plan) = choose_plan_fixture();
     let env = Environment::dynamic_compile_time(&catalog.config);
     let bindings = query.bindings(&[("x", 60)]).unwrap().with_memory(48.0);
-    let (summary, _, report) = execute_plan_traced(
-        &plan,
-        &db,
-        &catalog,
-        &env,
-        &bindings,
-        ResourceLimits::unlimited(),
-        ExecMode::default(),
-        1,
-    )
-    .unwrap();
+    let (summary, report) = run_at_dop(&plan, &db, &catalog, &env, &bindings, 1, true).unwrap();
+    let report = report.unwrap();
 
     // Every span carries an estimate (all map to plan nodes here), and
     // the root's actuals agree with the summary.
@@ -616,7 +619,7 @@ fn drift_flag_follows_cardinality_feedback() {
             &ctx,
         )
         .unwrap();
-        let rows = drain(op.as_mut()).unwrap();
+        let rows = drain(op.as_mut(), ExecMode::Tuple).unwrap();
         drop(op);
         (rows.len() as u64, tracer.report())
     };

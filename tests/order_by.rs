@@ -10,7 +10,7 @@
 use dqep::algebra::SortOrder;
 use dqep::catalog::{CatalogBuilder, SystemConfig};
 use dqep::cost::Environment;
-use dqep::executor::execute_plan;
+use dqep::executor::{execute, ExecContext, Sink};
 use dqep::optimizer::Optimizer;
 use dqep::sql::parse_query;
 use dqep::storage::StoredDatabase;
@@ -77,7 +77,10 @@ fn ordered_execution_is_sorted_for_all_bindings() {
         assert!(values.windows(2).all(|w| w[0] <= w[1]), ":x={x}");
         // Same rows as the unordered plan.
         let unordered = Optimizer::new(&cat, &env).optimize(&q.expr).unwrap().plan;
-        let (summary, _) = execute_plan(&unordered, &db, &cat, &env, &bindings).unwrap();
+        let ctx = ExecContext::default();
+        let summary = execute(&unordered, &db, &cat, &env, &bindings, &ctx, Sink::Count)
+            .unwrap()
+            .summary;
         assert_eq!(values.len() as u64, summary.rows);
     }
 }

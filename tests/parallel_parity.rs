@@ -21,14 +21,32 @@ use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, PhysicalOp, Selec
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Cost, Environment, PlanStats};
 use dqep::executor::{
-    compile_dynamic_plan, drain, drain_batch, execute_plan_dop, ExecContext, ExecError, ExecMode,
-    ExecSummary, ResourceLimits, SharedCounters, Tuple,
+    compile_dynamic_plan, drain, execute, ExecContext, ExecError, ExecMode, ExecSummary,
+    ResourceLimits, SharedCounters, Sink, Tuple,
 };
 use dqep::interval::Interval;
 use dqep::optimizer::Optimizer;
 use dqep::plan::{PlanNode, PlanNodeBuilder};
 use dqep::storage::{FaultPlan, StoredDatabase};
 use proptest::prelude::*;
+
+/// Executes `plan` end to end under `limits` in `mode` at `dop`.
+#[allow(clippy::too_many_arguments)]
+fn run_dop(
+    plan: &Arc<PlanNode>,
+    db: &StoredDatabase,
+    catalog: &Catalog,
+    env: &Environment,
+    bindings: &Bindings,
+    limits: ResourceLimits,
+    mode: ExecMode,
+    dop: usize,
+) -> Result<ExecSummary, ExecError> {
+    let ctx = ExecContext::with_limits(SharedCounters::new(), limits)
+        .with_mode(mode)
+        .with_dop(dop);
+    execute(plan, db, catalog, env, bindings, &ctx, Sink::Count).map(|exec| exec.summary)
+}
 
 /// Coarse error class: variant (and resource kind) only, as in
 /// `batch_parity.rs` — payloads may differ (a parallel worker reports the
@@ -195,17 +213,17 @@ proptest! {
         // every run; `set_fault_plan` still resets between runs for
         // uniformity with the batch parity suite.
         db.disk.set_fault_plan(fault.clone());
-        let serial = execute_plan_dop(
+        let serial = run_dop(
             &plan, &db, &catalog, &env, &bindings, limits, mode, 1,
         );
         for dop in [2usize, 4] {
             db.disk.set_fault_plan(fault.clone());
-            let parallel = execute_plan_dop(
+            let parallel = run_dop(
                 &plan, &db, &catalog, &env, &bindings, limits, mode, dop,
             );
             let what = format!("{mode:?} dop={dop}");
             match (&serial, &parallel) {
-                (Ok((s, _)), Ok((p, _))) => {
+                (Ok(s), Ok(p)) => {
                     prop_assert_eq!(s.rows, p.rows, "{}: result row counts diverged", &what);
                     prop_assert_eq!(
                         s.fallbacks, p.fallbacks, "{}: fallback counts diverged", &what
@@ -222,8 +240,8 @@ proptest! {
                     false,
                     "{}: one DOP succeeded while the other failed: serial={:?} parallel={:?}",
                     &what,
-                    s.as_ref().map(|(s, _)| s.rows),
-                    p.as_ref().map(|(s, _)| s.rows)
+                    s.as_ref().map(|s| s.rows),
+                    p.as_ref().map(|s| s.rows)
                 ),
             }
         }
@@ -258,10 +276,7 @@ proptest! {
                 let mut op =
                     compile_dynamic_plan(&plan, &db, &catalog, &env, &bindings, memory, &ctx)
                         .unwrap();
-                let rows = match mode {
-                    ExecMode::Tuple => drain(op.as_mut()).unwrap(),
-                    ExecMode::Batch => drain_batch(op.as_mut()).unwrap(),
-                };
+                let rows = drain(op.as_mut(), mode).unwrap();
                 prop_assert_eq!(
                     ctx.governor.memory_used(), 0,
                     "{:?} dop={}: leaked reservation", mode, dop
@@ -326,10 +341,7 @@ fn memory_refusal_fallback_is_dop_independent() {
             let mut op =
                 compile_dynamic_plan(&choose, &db, &catalog, &env, &bindings, 64 * 2048, &ctx)
                     .unwrap();
-            let rows = match mode {
-                ExecMode::Tuple => drain(op.as_mut()).unwrap(),
-                ExecMode::Batch => drain_batch(op.as_mut()).unwrap(),
-            };
+            let rows = drain(op.as_mut(), mode).unwrap();
             assert_eq!(
                 ctx.counters.fallbacks(),
                 1,
@@ -383,7 +395,7 @@ fn page_faults_trip_identically_across_dops() {
             for dop in [1usize, 2, 4] {
                 db.disk
                     .set_fault_plan(FaultPlan::page_range(fault_page, fault_page));
-                let result = execute_plan_dop(
+                let result = run_dop(
                     &plan,
                     &db,
                     &catalog,
@@ -395,7 +407,7 @@ fn page_faults_trip_identically_across_dops() {
                 );
                 db.disk.set_fault_plan(FaultPlan::none());
                 outcomes.push(match result {
-                    Ok((s, _)) => format!("ok:{}", s.rows),
+                    Ok(s) => format!("ok:{}", s.rows),
                     Err(e) => format!("err:{}", classify(&e)),
                 });
             }

@@ -11,8 +11,8 @@ use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
 use dqep::executor::{
-    compile_dynamic_plan, drain, drain_batch, execute_plan_reopt, execute_plan_reopt_ctx,
-    ExecContext, ExecError, ExecMode, ReoptConfig, ResourceLimits, SharedCounters, Tuple,
+    compile_dynamic_plan, drain, execute, ExecContext, ExecError, ExecMode, ReoptConfig,
+    ReoptState, ResourceLimits, SharedCounters, Sink, Tuple,
 };
 use dqep::optimizer::Optimizer;
 use dqep::storage::{FaultPlan, StoredDatabase, ValueDistribution};
@@ -122,10 +122,7 @@ fn plain_rows(
         .with_mode(mode)
         .with_dop(dop);
     let mut op = compile_dynamic_plan(plan, db, catalog, env, bindings, memory, &ctx)?;
-    match mode {
-        ExecMode::Tuple => drain(op.as_mut()),
-        ExecMode::Batch => drain_batch(op.as_mut()),
-    }
+    drain(op.as_mut(), mode)
 }
 
 proptest! {
@@ -174,9 +171,11 @@ proptest! {
         db.disk.set_fault_plan(fault.clone());
         let baseline = plain_rows(&plan, &db, &catalog, &env, &bindings, limits, mode, dop);
         db.disk.set_fault_plan(fault);
-        let reopt = execute_plan_reopt(
-            &plan, &db, &catalog, &env, &bindings, limits, mode, dop, quick(),
-        );
+        let ctx = ExecContext::with_limits(SharedCounters::new(), limits)
+            .with_mode(mode)
+            .with_dop(dop)
+            .with_reopt(std::sync::Arc::new(ReoptState::new(quick())));
+        let reopt = execute(&plan, &db, &catalog, &env, &bindings, &ctx, Sink::Collect);
         db.disk.set_fault_plan(FaultPlan::none());
 
         match (baseline, reopt) {
@@ -221,16 +220,15 @@ proptest! {
         let mut runs = Vec::new();
         for _ in 0..2 {
             let ctx = ExecContext::with_limits(SharedCounters::new(), ResourceLimits::unlimited())
-                .with_mode(ExecMode::Tuple);
-            let outcome = execute_plan_reopt_ctx(
-                &plan, &db, &catalog, &env, &bindings, quick(), &ctx,
-            )
-            .unwrap();
+                .with_mode(ExecMode::Tuple)
+                .with_reopt(std::sync::Arc::new(ReoptState::new(quick())));
+            let exec = execute(&plan, &db, &catalog, &env, &bindings, &ctx, Sink::Collect).unwrap();
+            let counters = exec.reopt.map(|o| o.report.counters).unwrap_or_default();
             prop_assert_eq!(
                 ctx.governor.memory_used(), 0,
                 "leaked governor reservation after a re-optimizing run"
             );
-            runs.push((sorted(outcome.rows), outcome.report.counters));
+            runs.push((sorted(exec.rows), counters));
         }
         prop_assert_eq!(&runs[0].0, &runs[1].0, "result multisets diverged across reruns");
         prop_assert_eq!(runs[0].1, runs[1].1, "reopt counters diverged across reruns");

@@ -9,7 +9,7 @@
 
 use dqep::catalog::{make_chain_catalog, Catalog, SyntheticSpec, SystemConfig};
 use dqep::cost::Environment;
-use dqep::executor::{execute_plan_with, ExecError, ResourceLimits};
+use dqep::executor::{execute, ExecContext, ExecError, Sink};
 use dqep::optimizer::Optimizer;
 use dqep::service::{QueryService, Request, ServiceConfig, ServiceError};
 use dqep::sql::parse_query;
@@ -39,10 +39,18 @@ fn sequential_rows(catalog: &Catalog, db: &StoredDatabase, sql: &str, binds: &[(
         .unwrap()
         .plan;
     let bindings = query.bindings(binds).unwrap();
-    let (summary, _) =
-        execute_plan_with(&plan, db, catalog, &env, &bindings, ResourceLimits::unlimited())
-            .unwrap();
-    summary.rows
+    execute(
+        &plan,
+        db,
+        catalog,
+        &env,
+        &bindings,
+        &ExecContext::default(),
+        Sink::Count,
+    )
+    .unwrap()
+    .summary
+    .rows
 }
 
 const SEED: u64 = 23;
@@ -316,9 +324,17 @@ fn concurrent_accounting_matches_sequential_per_session() {
             .unwrap()
             .plan;
         let bindings = query.bindings(binds).unwrap();
-        execute_plan_with(&plan, &db, &catalog, &env, &bindings, ResourceLimits::unlimited())
-            .unwrap()
-            .0
+        execute(
+            &plan,
+            &db,
+            &catalog,
+            &env,
+            &bindings,
+            &ExecContext::default(),
+            Sink::Count,
+        )
+        .unwrap()
+        .summary
     };
     let truth_big = sequential(&big, &[("v1", 900), ("v2", 900)]);
     let truth_small = sequential(small, &[("v1", 40)]);

@@ -9,8 +9,8 @@
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
 use dqep::executor::{
-    compile_dynamic_plan, drain, drain_batch, ExecContext, ExecError, ExecMode, LinkFaultPlan,
-    Resource, ResourceLimits, SharedCounters, Tuple, TupleLayout,
+    compile_dynamic_plan, drain, ExecContext, ExecError, ExecMode, LinkFaultPlan, Resource,
+    ResourceLimits, SharedCounters, Tuple, TupleLayout,
 };
 use dqep::optimizer::Optimizer;
 use dqep::service::{ServiceError, ShardConfig, ShardRouting, ShardedService};
@@ -130,10 +130,7 @@ fn single_node_rows(
         .with_dop(config.dop);
     let mut op = compile_dynamic_plan(&plan, &db, catalog, &env, &bindings, memory, &ctx)?;
     let layout = op.layout().clone();
-    let rows = match config.exec_mode {
-        ExecMode::Tuple => drain(op.as_mut()),
-        ExecMode::Batch => drain_batch(op.as_mut()),
-    }?;
+    let rows = drain(op.as_mut(), config.exec_mode)?;
     Ok(match canonical.projection_from(&layout) {
         None => rows,
         Some(proj) => rows
