@@ -145,6 +145,26 @@ impl RowBatch {
         );
     }
 
+    /// Appends the live rows of `src` at live positions `live` (positions
+    /// in the selection vector, or physical rows when `src` has none)
+    /// column by column — re-chunking batches without forming tuples.
+    ///
+    /// # Panics
+    /// Panics on width mismatch or when `live` runs past `src.len()`.
+    pub fn extend_from_live(&mut self, src: &RowBatch, live: std::ops::Range<usize>) {
+        assert_eq!(src.width, self.width, "row width mismatch");
+        let n = live.len();
+        let sel = src.selection.as_deref().map(|s| &s[live.clone()]);
+        self.extend_rows_with(n, |cols| {
+            for (col, from) in cols.iter_mut().zip(&src.columns) {
+                match sel {
+                    Some(sel) => col.extend(sel.iter().map(|&i| from[i as usize])),
+                    None => col.extend_from_slice(&from[live.clone()]),
+                }
+            }
+        });
+    }
+
     /// Copies the `i`-th physical row (selection vector not applied) into
     /// `out`, appending `width` values.
     ///

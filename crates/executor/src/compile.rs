@@ -8,8 +8,9 @@ use dqep_cost::{Bindings, Environment};
 use dqep_plan::PlanNode;
 use dqep_storage::StoredDatabase;
 
+use crate::batch::RowBatch;
 use crate::error::ExecError;
-use crate::exec::{pull, Sink};
+use crate::exec::{pull, Drained, Sink};
 use crate::filter::{FilterExec, ResolvedPred};
 use crate::governor::ExecContext;
 use crate::hash_join::HashJoinExec;
@@ -293,8 +294,11 @@ pub struct Execution {
     /// counters, cumulative if the caller reuses them), the I/O performed
     /// during the call, and choose-plan fallbacks taken.
     pub summary: ExecSummary,
-    /// The result rows under [`Sink::Collect`]; empty under [`Sink::Count`].
+    /// The result rows under [`Sink::Collect`]; empty otherwise.
     pub rows: Vec<Tuple>,
+    /// The root's result batches under [`Sink::Batches`] (selection
+    /// vectors kept, batches without live rows dropped); empty otherwise.
+    pub batches: Vec<RowBatch>,
     /// The span tree and choose-plan audits, when the context's tracer
     /// records spans. With re-optimization on, its `reopt` field carries
     /// the audit trail too.
@@ -347,8 +351,7 @@ pub fn execute(
     sink: Sink,
 ) -> Result<Execution, ExecError> {
     let io_before = db.disk.stats();
-    let (rows, collected, reopt) =
-        crate::reopt::drive(plan, db, catalog, env, bindings, ctx, sink)?;
+    let (drained, reopt) = crate::reopt::drive(plan, db, catalog, env, bindings, ctx, sink)?;
     let io = db.disk.stats().since(&io_before);
     let trace = ctx.tracer.as_ref().filter(|t| t.records_spans()).map(|t| {
         let mut report = t.report();
@@ -359,13 +362,14 @@ pub fn execute(
     });
     Ok(Execution {
         summary: ExecSummary {
-            rows,
+            rows: drained.rows,
             cpu: ctx.counters.snapshot(),
             io,
             fallbacks: ctx.counters.fallbacks(),
             ..ExecSummary::default()
         },
-        rows: collected,
+        rows: drained.tuples,
+        batches: drained.batches,
         trace,
         reopt,
     })
@@ -382,7 +386,7 @@ pub(crate) fn run(
     bindings: &Bindings,
     ctx: &ExecContext,
     sink: Sink,
-) -> Result<(u64, Vec<Tuple>), ExecError> {
+) -> Result<Drained, ExecError> {
     let memory_bytes = grant_bytes(bindings, env, catalog);
     let mut op = compile_node(plan, db, catalog, Some(env), bindings, memory_bytes, ctx)?;
     pull(op.as_mut(), ctx.mode, Some(&ctx.governor), sink)
@@ -391,6 +395,7 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BATCH_CAPACITY;
     use crate::exec::drain;
     use crate::governor::{ExecMode, ResourceLimits};
     use crate::metrics::SharedCounters;
@@ -560,6 +565,79 @@ mod tests {
         assert!(summary.io.total() > 0);
         assert!(summary.cpu.records > 0);
         assert_eq!(summary.fallbacks, 0, "no faults: no fallbacks");
+    }
+
+    #[test]
+    fn batches_sink_keeps_the_collected_rows_in_both_modes() {
+        // A join with a selection: filtered (selection-vector) batches in
+        // batch mode, several batches' worth of rows at the wide binding.
+        let (cat, db) = fixture();
+        let r = cat.relation_by_name("r").unwrap();
+        let s = cat.relation_by_name("s").unwrap();
+        let q = LogicalExpr::get(r.id)
+            .select(SelectPred::unbound(
+                r.attr_id("a").unwrap(),
+                CompareOp::Lt,
+                HostVar(0),
+            ))
+            .join(
+                LogicalExpr::get(s.id),
+                vec![JoinPred::new(
+                    r.attr_id("j").unwrap(),
+                    s.attr_id("j").unwrap(),
+                )],
+            );
+        let env = Environment::dynamic_compile_time(&cat.config);
+        let plan = Optimizer::new(&cat, &env).optimize(&q).unwrap().plan;
+        for mode in [ExecMode::Tuple, ExecMode::Batch] {
+            let run = |v: i64, limits: ResourceLimits, sink: Sink| {
+                let bindings = Bindings::new().with_value(HostVar(0), v);
+                let ctx = ExecContext::with_limits(SharedCounters::new(), limits).with_mode(mode);
+                execute(&plan, &db, &cat, &env, &bindings, &ctx, sink)
+            };
+            for v in [0i64, 37, 400] {
+                let unlimited = ResourceLimits::default();
+                let collected = run(v, unlimited, Sink::Collect).unwrap();
+                let batched = run(v, unlimited, Sink::Batches).unwrap();
+                assert!(collected.batches.is_empty() && batched.rows.is_empty());
+                assert_eq!(batched.summary.rows, collected.summary.rows);
+                let rows: Vec<Tuple> = batched.batches.iter().flat_map(RowBatch::iter).collect();
+                assert_eq!(rows, collected.rows, "{mode:?} v={v}");
+                assert!(
+                    batched.batches.iter().all(|b| !b.is_empty()),
+                    "no empty batches kept"
+                );
+                if mode == ExecMode::Tuple {
+                    let n = batched.batches.len();
+                    for (i, b) in batched.batches.iter().enumerate() {
+                        assert!(b.selection().is_none(), "tuple mode packs dense batches");
+                        assert!(
+                            i + 1 == n || b.rows() == BATCH_CAPACITY,
+                            "full but the last"
+                        );
+                    }
+                }
+                assert!(run(v, unlimited, Sink::Count).unwrap().rows.is_empty());
+            }
+            let total = run(400, ResourceLimits::default(), Sink::Count)
+                .unwrap()
+                .summary
+                .rows;
+            assert!(
+                total > BATCH_CAPACITY as u64,
+                "the wide binding spans batches"
+            );
+            for limit in [1u64, 10, total - 1, total] {
+                let limits = ResourceLimits {
+                    max_rows: Some(limit),
+                    ..ResourceLimits::default()
+                };
+                let collected = run(400, limits, Sink::Collect).map(|e| e.summary.rows);
+                let batched = run(400, limits, Sink::Batches).map(|e| e.summary.rows);
+                assert_eq!(batched, collected, "{mode:?} max_rows={limit}");
+                assert_eq!(collected.is_ok(), limit >= total);
+            }
+        }
     }
 
     #[test]

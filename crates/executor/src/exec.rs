@@ -87,13 +87,30 @@ pub type BoxedOperator<'a> = Box<dyn Operator + Send + 'a>;
 /// a bad hint cannot ask for unbounded memory up front.
 pub(crate) const MAX_PRESIZE_ROWS: u64 = 1 << 20;
 
-/// What a drain does with result rows: count them, or also collect them.
+/// What a drain does with result rows: count them, or also keep them —
+/// as owned tuples or as the root's batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sink {
     /// Count rows only; nothing is materialized.
     Count,
-    /// Collect every row (pre-sized from [`Operator::estimated_rows`]).
+    /// Collect every row as an owned [`Tuple`] (pre-sized from
+    /// [`Operator::estimated_rows`]).
     Collect,
+    /// Keep the root's [`RowBatch`]es as produced, selection vectors
+    /// included (batches with no live row are dropped); tuple mode packs
+    /// its rows into dense batches of [`BATCH_CAPACITY`]. No row becomes a
+    /// `Vec<i64>`.
+    Batches,
+}
+
+/// What one drain produced: the row count, plus the rows in the form the
+/// [`Sink`] asked for (`tuples` under [`Sink::Collect`], `batches` under
+/// [`Sink::Batches`], both empty under [`Sink::Count`]).
+#[derive(Debug, Default)]
+pub(crate) struct Drained {
+    pub(crate) rows: u64,
+    pub(crate) tuples: Vec<Tuple>,
+    pub(crate) batches: Vec<RowBatch>,
 }
 
 /// The one drain loop: opens `op`, pulls it dry through the interface
@@ -102,34 +119,43 @@ pub enum Sink {
 /// buffered state and memory reservations are released either way.
 /// With a `governor`, result rows are charged against its row budget
 /// (once per tuple, or once per batch: the budget trips at the same
-/// cumulative counts). Returns the row count and, under
-/// [`Sink::Collect`], the rows.
+/// cumulative counts). Returns the row count and the rows `sink` keeps.
 pub(crate) fn pull(
     op: &mut dyn Operator,
     mode: ExecMode,
     governor: Option<&ResourceGovernor>,
     sink: Sink,
-) -> Result<(u64, Vec<Tuple>), ExecError> {
+) -> Result<Drained, ExecError> {
     fn run(
         op: &mut dyn Operator,
         mode: ExecMode,
         governor: Option<&ResourceGovernor>,
-        mut out: Option<&mut Vec<Tuple>>,
-    ) -> Result<u64, ExecError> {
+        sink: Sink,
+        out: &mut Drained,
+    ) -> Result<(), ExecError> {
         op.open()?;
-        if let (Some(out), Some(n)) = (out.as_deref_mut(), op.estimated_rows()) {
-            out.reserve(n.min(MAX_PRESIZE_ROWS) as usize);
+        if let (Sink::Collect, Some(n)) = (sink, op.estimated_rows()) {
+            out.tuples.reserve(n.min(MAX_PRESIZE_ROWS) as usize);
         }
-        let mut rows = 0u64;
+        let width = op.layout().width();
         match mode {
             ExecMode::Tuple => {
                 while let Some(t) = op.next()? {
                     if let Some(g) = governor {
                         g.charge_rows(1)?;
                     }
-                    rows += 1;
-                    if let Some(out) = out.as_deref_mut() {
-                        out.push(t);
+                    out.rows += 1;
+                    match sink {
+                        Sink::Count => {}
+                        Sink::Collect => out.tuples.push(t),
+                        Sink::Batches => match out.batches.last_mut() {
+                            Some(b) if b.rows() < BATCH_CAPACITY => b.push_row(&t),
+                            _ => {
+                                let mut b = RowBatch::new(width);
+                                b.push_row(&t);
+                                out.batches.push(b);
+                            }
+                        },
                     }
                 }
             }
@@ -139,20 +165,22 @@ pub(crate) fn pull(
                     if let Some(g) = governor {
                         g.charge_rows(n)?;
                     }
-                    rows += n;
-                    if let Some(out) = out.as_deref_mut() {
-                        out.extend(batch.iter());
+                    out.rows += n;
+                    match sink {
+                        Sink::Count => {}
+                        Sink::Collect => out.tuples.extend(batch.iter()),
+                        Sink::Batches if n > 0 => out.batches.push(batch),
+                        Sink::Batches => {}
                     }
                 }
             }
         }
-        Ok(rows)
+        Ok(())
     }
-    let mut out = Vec::new();
-    let collect = (sink == Sink::Collect).then_some(&mut out);
-    let result = run(op, mode, governor, collect);
+    let mut out = Drained::default();
+    let result = run(op, mode, governor, sink, &mut out);
     op.close();
-    result.map(|rows| (rows, out))
+    result.map(|()| out)
 }
 
 /// Drains an operator to completion through the interface `mode` selects,
@@ -162,5 +190,5 @@ pub(crate) fn pull(
 /// # Errors
 /// The first [`ExecError`] raised by `open`, `next` or `next_batch`.
 pub fn drain(op: &mut dyn Operator, mode: ExecMode) -> Result<Vec<Tuple>, ExecError> {
-    pull(op, mode, None, Sink::Collect).map(|(_, rows)| rows)
+    pull(op, mode, None, Sink::Collect).map(|d| d.tuples)
 }

@@ -264,22 +264,27 @@ fn radix_partitions(build_bytes: usize, dop: usize) -> usize {
 }
 
 /// Stable histogram → prefix-sum scatter of `(cols, hashes)` rows into
-/// `parts = part_mask + 1` partitions keyed by the hash's low bits.
-/// Returns the scattered columns and hashes (partition-major, arrival
+/// `parts = part_mask + 1` partitions keyed by the hash bits from `shift`
+/// up. Returns the scattered columns and hashes (partition-major, arrival
 /// order preserved within each partition) plus the partition boundaries
 /// (`parts + 1` offsets).
-fn scatter_by_partition(
-    cols: &[Vec<i64>],
+fn scatter_by_partition<C: AsRef<[i64]>>(
+    cols: &[C],
     hashes: &[u64],
     part_mask: u64,
+    shift: u32,
 ) -> (Vec<Vec<i64>>, Vec<u64>, Vec<usize>) {
     let n = hashes.len();
     let parts = part_mask as usize + 1;
     if parts == 1 {
         let starts = vec![0, n];
-        return (cols.to_vec(), hashes.to_vec(), starts);
+        let cols = cols.iter().map(|c| c.as_ref().to_vec()).collect();
+        return (cols, hashes.to_vec(), starts);
     }
-    let pids: Vec<u32> = hashes.iter().map(|&h| (h & part_mask) as u32).collect();
+    let pids: Vec<u32> = hashes
+        .iter()
+        .map(|&h| ((h >> shift) & part_mask) as u32)
+        .collect();
     let mut starts = vec![0usize; parts + 1];
     for &p in &pids {
         starts[p as usize + 1] += 1;
@@ -299,7 +304,7 @@ fn scatter_by_partition(
         .iter()
         .map(|col| {
             let mut out = vec![0i64; n];
-            for (&v, &d) in col.iter().zip(&dest) {
+            for (&v, &d) in col.as_ref().iter().zip(&dest) {
                 out[d as usize] = v;
             }
             out
@@ -326,6 +331,9 @@ struct PartBuckets {
 /// no re-hashing, no SipHash, no per-bucket `Vec` allocations — and match
 /// rows gather into the output column by column.
 struct RadixTable {
+    /// Low hash bits skipped before the partition bits (0 in the
+    /// operator; see [`join_batches`] for why its inputs skip 16).
+    shift: u32,
     part_mask: u64,
     /// Bits consumed by the partition mask; buckets use the bits above.
     part_bits: u32,
@@ -343,17 +351,29 @@ impl RadixTable {
     /// per row exactly like [`build_table`]. `parts` must be a power of
     /// two.
     fn build(keys: &Keys, counters: &SharedCounters, store: &ColumnStore, parts: usize) -> RadixTable {
-        let n = store.rows();
+        RadixTable::build_cols(keys, counters, &store.cols, parts, 0)
+    }
+
+    /// [`RadixTable::build`] over bare build columns, indexing partitions
+    /// and buckets by the hash bits from `shift` up.
+    fn build_cols<C: AsRef<[i64]>>(
+        keys: &Keys,
+        counters: &SharedCounters,
+        cols: &[C],
+        parts: usize,
+        shift: u32,
+    ) -> RadixTable {
+        let n = cols.first().map_or(0, |c| c.as_ref().len());
         debug_assert!(n < u32::MAX as usize, "build side exceeds u32 indexing");
         debug_assert!(parts.is_power_of_two());
         counters.add_hashes(n as u64);
         let mut hashes = vec![HASH_SEED; n];
         for &(b, _) in keys {
-            fold_hash_column(&mut hashes, &store.cols[b]);
+            fold_hash_column(&mut hashes, cols[b].as_ref());
         }
         let part_mask = (parts - 1) as u64;
         let part_bits = parts.trailing_zeros();
-        let (cols, hashes, part_starts) = scatter_by_partition(&store.cols, &hashes, part_mask);
+        let (cols, hashes, part_starts) = scatter_by_partition(cols, &hashes, part_mask, shift);
         let mut next_link = vec![0u32; n];
         let buckets = (0..parts)
             .map(|p| {
@@ -364,7 +384,7 @@ impl RadixTable {
                 // Reverse insertion leaves each chain in arrival order —
                 // probe results match the HashMap path's candidate order.
                 for i in (lo..hi).rev() {
-                    let b = ((hashes[i] >> part_bits) & mask) as usize;
+                    let b = ((hashes[i] >> (shift + part_bits)) & mask) as usize;
                     next_link[i] = heads[b];
                     heads[b] = i as u32 + 1;
                 }
@@ -372,6 +392,7 @@ impl RadixTable {
             })
             .collect();
         RadixTable {
+            shift,
             part_mask,
             part_bits,
             cols,
@@ -395,8 +416,8 @@ impl RadixTable {
         probe_key_at: impl Fn(usize) -> i64,
         matches: &mut Vec<u32>,
     ) {
-        let part = &self.buckets[(h & self.part_mask) as usize];
-        let mut link = part.heads[((h >> self.part_bits) & part.mask) as usize];
+        let part = &self.buckets[((h >> self.shift) & self.part_mask) as usize];
+        let mut link = part.heads[((h >> (self.shift + self.part_bits)) & part.mask) as usize];
         while link != 0 {
             let i = (link - 1) as usize;
             if self.hashes[i] == h
@@ -438,21 +459,33 @@ impl RadixTable {
     }
 
     /// Gathers `pairs` (build scattered index, probe physical index) into
-    /// `out`: build attributes column by column, then probe attributes.
+    /// `out` column by column: build attributes then probe attributes, or
+    /// the reverse when `build_first` is false.
     fn gather_pairs_into(
         &self,
         probe_batch: &RowBatch,
         pairs_b: &[u32],
         pairs_p: &[u32],
+        build_first: bool,
         out: &mut RowBatch,
     ) {
-        let bw = self.build_width();
+        let split = if build_first {
+            self.build_width()
+        } else {
+            probe_batch.width()
+        };
         out.extend_rows_with(pairs_b.len(), |cols| {
-            for (c, col) in cols[..bw].iter_mut().enumerate() {
+            let (head, tail) = cols.split_at_mut(split);
+            let (build_cols, probe_cols) = if build_first {
+                (head, tail)
+            } else {
+                (tail, head)
+            };
+            for (c, col) in build_cols.iter_mut().enumerate() {
                 let src = &self.cols[c];
                 col.extend(pairs_b.iter().map(|&i| src[i as usize]));
             }
-            for (c, col) in cols[bw..].iter_mut().enumerate() {
+            for (c, col) in probe_cols.iter_mut().enumerate() {
                 let src = probe_batch.column(c);
                 col.extend(pairs_p.iter().map(|&i| src[i as usize]));
             }
@@ -467,6 +500,109 @@ impl RadixTable {
         probe_batch.gather_row_into(pi as usize, &mut joined);
         joined
     }
+}
+
+/// Low hash bits [`join_batches`] leaves out of its partition and bucket
+/// indexes. Its inputs may be repartitioned on the same hash: every row of
+/// shard `s` of `n` has `hash % n == s`, so for power-of-two `n` the low
+/// bits are constant and would pile every row into one partition and half
+/// (or fewer) of the buckets.
+const BATCH_JOIN_HASH_SHIFT: u32 = 16;
+
+/// One input of [`join_batches`]: its batches (selection vectors
+/// respected) and the width of its rows.
+#[derive(Debug, Clone, Copy)]
+pub struct JoinInput<'a> {
+    /// The input rows.
+    pub batches: &'a [RowBatch],
+    /// Attributes per row (the width of every batch).
+    pub width: usize,
+}
+
+/// Which input of [`join_batches`] its hash tables are built on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BuildSide {
+    /// Build on the left input, probe with the right.
+    Left,
+    /// Build on the right input, probe with the left.
+    Right,
+}
+
+/// Equi-joins two in-memory batch inputs through the batch-mode hash join
+/// kernel: the columnar build, radix table, chain walk and column-wise
+/// pair gather the hash join operator runs in batch mode. `keys` pairs a
+/// left column with a right column; rows join when every pair is equal.
+/// The output is always `left ⊗ right`, whichever side `build` names, in
+/// dense batches of [`BATCH_CAPACITY`] rows (the last one shorter).
+///
+/// The build side is hashed in chunks of at most `chunk_rows` rows, one
+/// table per chunk, each probed by the whole other input: a caller short
+/// of memory for one table over the full build side bounds it this way.
+/// Row order is deterministic: chunk by chunk, probe rows in input order,
+/// and each probe row's matches in build order. Charges one hash per
+/// build row and per probe row per chunk, and one record per match.
+#[must_use]
+pub fn join_batches(
+    left: JoinInput<'_>,
+    right: JoinInput<'_>,
+    keys: &[(usize, usize)],
+    build: BuildSide,
+    chunk_rows: usize,
+    counters: &SharedCounters,
+) -> Vec<RowBatch> {
+    let build_left = build == BuildSide::Left;
+    let (build_in, probe_in) = if build_left {
+        (left, right)
+    } else {
+        (right, left)
+    };
+    let keys: Keys = keys
+        .iter()
+        .map(|&(l, r)| if build_left { (l, r) } else { (r, l) })
+        .collect();
+    let mut store = ColumnStore::new(build_in.width);
+    store.reserve(build_in.batches.iter().map(RowBatch::len).sum());
+    for batch in build_in.batches {
+        store.extend_from_batch(batch);
+    }
+    let n = store.rows();
+    let chunk = chunk_rows.clamp(1, n.max(1));
+    let out_width = left.width + right.width;
+    let mut out: Vec<RowBatch> = Vec::new();
+    let mut acc = RowBatch::with_capacity(out_width, BATCH_CAPACITY);
+    let (mut hashes, mut pairs_b, mut pairs_p) = (Vec::new(), Vec::new(), Vec::new());
+    for lo in (0..n).step_by(chunk) {
+        let hi = (lo + chunk).min(n);
+        let cols: Vec<&[i64]> = store.cols.iter().map(|c| &c[lo..hi]).collect();
+        let parts = radix_partitions((hi - lo) * build_in.width * 8, 1);
+        let table = RadixTable::build_cols(&keys, counters, &cols, parts, BATCH_JOIN_HASH_SHIFT);
+        for probe in probe_in.batches {
+            hash_probe_batch(&keys, probe, &mut hashes);
+            pairs_b.clear();
+            pairs_p.clear();
+            for (j, idx) in probe.selected_indices().enumerate() {
+                table.chain_matches(&keys, hashes[j], |pk| probe.column(pk)[idx], &mut pairs_b);
+                pairs_p.resize(pairs_b.len(), idx as u32);
+            }
+            counters.add_hashes(probe.len() as u64);
+            counters.add_records(pairs_b.len() as u64);
+            let mut k = 0;
+            while k < pairs_b.len() {
+                let take = (BATCH_CAPACITY - acc.rows()).min(pairs_b.len() - k);
+                let (pb, pp) = (&pairs_b[k..k + take], &pairs_p[k..k + take]);
+                table.gather_pairs_into(probe, pb, pp, build_left, &mut acc);
+                k += take;
+                if acc.rows() == BATCH_CAPACITY {
+                    let full = RowBatch::with_capacity(out_width, BATCH_CAPACITY);
+                    out.push(std::mem::replace(&mut acc, full));
+                }
+            }
+        }
+    }
+    if acc.rows() > 0 {
+        out.push(acc);
+    }
+    out
 }
 
 /// Locks a mutex, absorbing poisoning (a worker panic propagates through
@@ -765,8 +901,12 @@ impl<'a> HashJoinExec<'a> {
             self.state = State::Streamed(Vec::new().into_iter());
             return Ok(());
         }
-        let (probe_cols, probe_hashes, probe_starts) =
-            scatter_by_partition(&probe_store.cols, &probe_hashes, table.part_mask);
+        let (probe_cols, probe_hashes, probe_starts) = scatter_by_partition(
+            &probe_store.cols,
+            &probe_hashes,
+            table.part_mask,
+            table.shift,
+        );
         let keys = &self.keys;
         let table_ref = &table;
         let probe_cols_ref = &probe_cols;
@@ -1216,6 +1356,7 @@ impl Operator for HashJoinExec<'_> {
                         &probe_batch,
                         &pairs_b[..emit],
                         &pairs_p[..emit],
+                        true,
                         &mut out,
                     );
                     for k in (emit..pairs_b.len()).rev() {
@@ -1299,7 +1440,13 @@ impl Operator for HashJoinExec<'_> {
             self.ctx.counters.add_records(pairs_b.len() as u64);
             let room = max_rows - out.rows();
             let emit = pairs_b.len().min(room);
-            table.gather_pairs_into(&probe_batch, &pairs_b[..emit], &pairs_p[..emit], &mut out);
+            table.gather_pairs_into(
+                &probe_batch,
+                &pairs_b[..emit],
+                &pairs_p[..emit],
+                true,
+                &mut out,
+            );
             // Matches past the request: deliver them next call, stashed
             // in reverse so `pop` keeps order.
             for k in (emit..pairs_b.len()).rev() {
@@ -1420,7 +1567,7 @@ mod tests {
     fn scatter_preserves_arrival_order_within_partitions() {
         let hashes: Vec<u64> = (0..32).map(|i| mix(i as u64)).collect();
         let cols = vec![(0..32i64).collect::<Vec<_>>()];
-        let (scols, shashes, starts) = scatter_by_partition(&cols, &hashes, 3);
+        let (scols, shashes, starts) = scatter_by_partition(&cols, &hashes, 3, 0);
         assert_eq!(*starts.last().unwrap(), 32);
         for p in 0..4u64 {
             let (lo, hi) = (starts[p as usize], starts[p as usize + 1]);
@@ -1431,6 +1578,181 @@ mod tests {
                 last = scols[0][i];
             }
         }
+    }
+
+    fn batch_of(rows: &[[i64; 2]]) -> RowBatch {
+        let mut b = RowBatch::new(2);
+        for row in rows {
+            b.push_row(row);
+        }
+        b
+    }
+
+    /// Nested-loop reference: `left ⊗ right` for every pair whose keys
+    /// agree, over the live rows.
+    fn nested_loops(left: &[RowBatch], right: &[RowBatch], keys: &[(usize, usize)]) -> Vec<Tuple> {
+        let mut out = Vec::new();
+        for l in left.iter().flat_map(RowBatch::iter) {
+            for r in right.iter().flat_map(RowBatch::iter) {
+                if keys.iter().all(|&(lk, rk)| l[lk] == r[rk]) {
+                    out.push([l.clone(), r].concat());
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    fn joined(
+        left: &[RowBatch],
+        right: &[RowBatch],
+        keys: &[(usize, usize)],
+        build: BuildSide,
+        chunk_rows: usize,
+    ) -> Vec<Tuple> {
+        let counters = SharedCounters::default();
+        let out = join_batches(
+            JoinInput {
+                batches: left,
+                width: 2,
+            },
+            JoinInput {
+                batches: right,
+                width: 2,
+            },
+            keys,
+            build,
+            chunk_rows,
+            &counters,
+        );
+        let n = out.len();
+        for (i, b) in out.iter().enumerate() {
+            assert!(b.selection().is_none(), "output batches are dense");
+            assert!(
+                i + 1 == n || b.rows() == BATCH_CAPACITY,
+                "full but the last"
+            );
+        }
+        let mut rows: Vec<Tuple> = out.iter().flat_map(RowBatch::iter).collect();
+        assert_eq!(
+            counters.snapshot().records,
+            rows.len() as u64,
+            "one record per match"
+        );
+        rows.sort_unstable();
+        rows
+    }
+
+    #[test]
+    fn batch_join_emits_left_then_right_whichever_side_builds() {
+        // Duplicate keys on both sides (key 1: 3 x 2 matches), a key on
+        // one side only, and payloads that tell the sides apart.
+        let left = vec![batch_of(&[[1, 10], [2, 20], [1, 11], [4, 40], [1, 12]])];
+        let right = vec![batch_of(&[[100, 1], [200, 2], [101, 1], [300, 3]])];
+        let keys = [(0, 1)];
+        let expected = nested_loops(&left, &right, &keys);
+        assert_eq!(expected.len(), 7);
+        assert!(
+            expected.contains(&vec![1, 11, 101, 1]),
+            "left columns come first"
+        );
+        for build in [BuildSide::Left, BuildSide::Right] {
+            for chunk in [1usize, 2, 3, usize::MAX] {
+                assert_eq!(
+                    joined(&left, &right, &keys, build, chunk),
+                    expected,
+                    "{build:?} {chunk}"
+                );
+            }
+        }
+        // Two key pairs: the second narrows the first's matches.
+        let keys = [(0, 1), (1, 0)];
+        let right2 = vec![batch_of(&[[11, 1], [99, 1], [20, 2]])];
+        let expected = nested_loops(&left, &right2, &keys);
+        assert_eq!(expected, vec![vec![1, 11, 11, 1], vec![2, 20, 20, 2]]);
+        for build in [BuildSide::Left, BuildSide::Right] {
+            assert_eq!(joined(&left, &right2, &keys, build, usize::MAX), expected);
+        }
+    }
+
+    #[test]
+    fn batch_join_respects_selection_vectors_on_either_input() {
+        let mut left = vec![
+            batch_of(&[[1, 10], [2, 20], [1, 11], [3, 30]]),
+            batch_of(&[[2, 21]]),
+        ];
+        left[0].set_selection(vec![1, 2]);
+        let mut right = vec![batch_of(&[[100, 1], [200, 2], [101, 1], [300, 3]])];
+        let keys = [(0, 1)];
+        for filtered_right in [false, true] {
+            if filtered_right {
+                right[0].set_selection(vec![0, 1, 3]);
+            }
+            let expected = nested_loops(&left, &right, &keys);
+            for build in [BuildSide::Left, BuildSide::Right] {
+                for chunk in [1usize, usize::MAX] {
+                    assert_eq!(joined(&left, &right, &keys, build, chunk), expected);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_join_of_empty_inputs_is_empty() {
+        let some = vec![batch_of(&[[1, 10], [2, 20]])];
+        let mut emptied = vec![batch_of(&[[1, 10]])];
+        emptied[0].set_selection(Vec::new());
+        for empty in [Vec::new(), emptied] {
+            for build in [BuildSide::Left, BuildSide::Right] {
+                assert!(joined(&empty, &some, &[(0, 0)], build, 4).is_empty());
+                assert!(joined(&some, &empty, &[(0, 0)], build, 4).is_empty());
+                assert!(joined(&empty, &empty, &[(0, 0)], build, 4).is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn batch_join_over_pre_routed_keys_fills_batches_and_spreads_buckets() {
+        // Every key routes to shard 0 of 4 (constant low hash bits), as on
+        // a repartitioned shard; the join still finds every match, and
+        // the output spans several full batches.
+        let keys: Keys = vec![(0, 0)];
+        let routed: Vec<i64> = (0..20_000i64)
+            .filter(|&v| hash_key(&keys, &[v], true) & 3 == 0)
+            .take(1500)
+            .collect();
+        let mut left = RowBatch::new(2);
+        let mut right = RowBatch::new(2);
+        for &v in &routed {
+            left.push_row(&[v, 1]);
+            right.push_row(&[v, 2]);
+            right.push_row(&[v, 3]);
+        }
+        let (left, right) = (vec![left], vec![right]);
+        let expected = nested_loops(&left, &right, &[(0, 0)]);
+        assert_eq!(expected.len(), 3000);
+        assert_eq!(
+            joined(&left, &right, &[(0, 0)], BuildSide::Left, usize::MAX),
+            expected
+        );
+        assert_eq!(
+            joined(&left, &right, &[(0, 0)], BuildSide::Right, 700),
+            expected
+        );
+        // Indexed from bit 16 up, the pre-routed keys use the whole
+        // bucket array; from bit 0, at most the quarter whose low two
+        // bits match.
+        let occupied = |shift| {
+            let counters = SharedCounters::default();
+            let table = RadixTable::build_cols(&keys, &counters, &[&routed[..]], 1, shift);
+            table.buckets[0].heads.iter().filter(|&&h| h != 0).count()
+        };
+        let (low, high) = (occupied(0), occupied(BATCH_JOIN_HASH_SHIFT));
+        assert!(low <= 4096 / 4, "{low} buckets from bit 0");
+        assert!(
+            high > low + low / 4,
+            "{high} from bit 16 vs {low} from bit 0"
+        );
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! compiles the plan under an [`ExecContext`] — choose-plan nodes become
 //! run-time [`ChoosePlanExec`] operators that resolve the plan with the
 //! actual bindings at start-up (the Section 4 decision procedure) — and
-//! drains it, counting or collecting the result ([`Sink`]).
+//! drains it, counting the result, collecting it as tuples, or keeping the
+//! root's batches ([`Sink`]).
 //!
 //! Execution is *simulated-time measured*: every page access is accounted
 //! by the simulated disk and every record/comparison/hash by CPU counters,
@@ -79,7 +80,9 @@ pub use explain::{
     JsonValue,
 };
 pub use governor::{ExecContext, ExecMode, ResourceGovernor, ResourceLimits};
-pub use hash_join::{fold_hash_column, hash_key, mix, HASH_SEED};
+pub use hash_join::{
+    fold_hash_column, hash_key, join_batches, mix, BuildSide, JoinInput, HASH_SEED,
+};
 pub use journal::{
     journal, monotonic_ns, validate_journal_json, EventKind, Journal, JournalEvent,
     JOURNAL_CAPACITY, NO_ID,

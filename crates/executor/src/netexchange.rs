@@ -655,6 +655,9 @@ pub fn shard_route(
 /// Scatters the live rows of `batch` into one dense per-shard batch each,
 /// routed by [`shard_route`] over `key_cols`. Output batches are appended
 /// to, so callers can accumulate several input batches before flushing.
+/// Columnar: the routed rows are grouped into per-destination index lists
+/// (a counting sort, arrival order kept), then each destination extends
+/// column by column — no row is gathered into a tuple.
 ///
 /// # Panics
 /// Panics when `outs.len()` differs from the shard count implied by the
@@ -667,11 +670,32 @@ pub fn scatter_by_shard(
     dests: &mut Vec<u32>,
 ) {
     shard_route(batch, key_cols, outs.len(), hashes, dests);
-    let mut row: Vec<i64> = Vec::with_capacity(batch.width());
-    for (slot, phys) in batch.selected_indices().enumerate() {
-        row.clear();
-        batch.gather_row_into(phys, &mut row);
-        outs[dests[slot] as usize].push_row(&row);
+    let mut starts = vec![0usize; outs.len() + 1];
+    for &d in dests.iter() {
+        starts[d as usize + 1] += 1;
+    }
+    for t in 0..outs.len() {
+        starts[t + 1] += starts[t];
+    }
+    let mut cursors = starts[..outs.len()].to_vec();
+    let mut grouped = vec![0u32; dests.len()];
+    for (&d, phys) in dests.iter().zip(batch.selected_indices()) {
+        let c = &mut cursors[d as usize];
+        grouped[*c] = phys as u32;
+        *c += 1;
+    }
+    for (t, out) in outs.iter_mut().enumerate() {
+        assert_eq!(out.width(), batch.width(), "row width mismatch");
+        let idx = &grouped[starts[t]..starts[t + 1]];
+        if idx.is_empty() {
+            continue;
+        }
+        out.extend_rows_with(idx.len(), |cols| {
+            for (c, col) in cols.iter_mut().enumerate() {
+                let src = batch.column(c);
+                col.extend(idx.iter().map(|&i| src[i as usize]));
+            }
+        });
     }
 }
 
@@ -783,6 +807,11 @@ mod tests {
                 }
                 tx.close();
             });
+            // Receive only once both credits are taken, so the sender's
+            // third frame must wait for one, however the threads run.
+            while net.stats().frames < 2 {
+                std::thread::yield_now();
+            }
             let got: Vec<u8> = std::iter::from_fn(|| rx.recv()).map(|f| f[0]).collect();
             assert_eq!(got, (0..20).collect::<Vec<u8>>());
         });
@@ -859,17 +888,37 @@ mod tests {
 
     #[test]
     fn scatter_respects_selection() {
-        let batch = sample_batch(true);
-        let mut outs: Vec<RowBatch> = (0..3).map(|_| RowBatch::new(3)).collect();
-        let (mut h, mut d) = (Vec::new(), Vec::new());
-        scatter_by_shard(&batch, &[0], &mut outs, &mut h, &mut d);
-        let total: usize = outs.iter().map(RowBatch::rows).sum();
-        assert_eq!(total, 4, "only live rows are scattered");
-        // Every scattered row appears in the source batch's live set.
-        let live: Vec<Vec<i64>> = batch.iter().map(|r| r.to_vec()).collect();
-        for out in &outs {
-            for row in out.iter() {
-                assert!(live.contains(&row.to_vec()));
+        // Only live rows move, each to the shard `shard_route` names, in
+        // arrival order, with and without a selection vector.
+        let mut batch = RowBatch::with_capacity(3, 300);
+        for i in 0..300i64 {
+            batch.push_row(&[i * 7 - 40, i, -i]);
+        }
+        for selection in [
+            None,
+            Some((0..300u32).filter(|i| i % 3 != 1).collect::<Vec<_>>()),
+        ] {
+            if let Some(sel) = selection {
+                batch.set_selection(sel);
+            }
+            for shards in [1usize, 2, 3, 4] {
+                let (mut h, mut d) = (Vec::new(), Vec::new());
+                shard_route(&batch, &[0, 1], shards, &mut h, &mut d);
+                let mut expected: Vec<Vec<Vec<i64>>> = vec![Vec::new(); shards];
+                for (slot, row) in batch.iter().enumerate() {
+                    expected[d[slot] as usize].push(row);
+                }
+                let mut outs: Vec<RowBatch> =
+                    (0..shards).map(|_| RowBatch::with_capacity(3, 0)).collect();
+                scatter_by_shard(&batch, &[0, 1], &mut outs, &mut h, &mut d);
+                for (t, out) in outs.iter().enumerate() {
+                    assert!(out.selection().is_none(), "destinations are dense");
+                    assert_eq!(
+                        out.to_tuples(),
+                        expected[t],
+                        "shard {t} of {shards}, in order"
+                    );
+                }
             }
         }
     }

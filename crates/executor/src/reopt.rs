@@ -56,7 +56,7 @@ use parking_lot::Mutex;
 use crate::batch::RowBatch;
 use crate::compile::{grant_bytes, run};
 use crate::error::ExecError;
-use crate::exec::{drain, Operator, Sink};
+use crate::exec::{drain, Drained, Operator, Sink};
 use crate::governor::{ExecContext, ResourceGovernor};
 use crate::tuple::{Tuple, TupleLayout};
 
@@ -650,10 +650,9 @@ pub(crate) fn drive(
     bindings: &Bindings,
     ctx: &ExecContext,
     sink: Sink,
-) -> Result<(u64, Vec<Tuple>, Option<ReoptOutcome>), ExecError> {
+) -> Result<(Drained, Option<ReoptOutcome>), ExecError> {
     let Some(state) = ctx.reopt.as_ref() else {
-        let (rows, collected) = run(plan, db, catalog, env, bindings, ctx, sink)?;
-        return Ok((rows, collected, None));
+        return Ok((run(plan, db, catalog, env, bindings, ctx, sink)?, None));
     };
 
     let mut exec_bindings = bindings.clone();
@@ -745,7 +744,7 @@ pub(crate) fn drive(
     // arbitrate with the observations applied and the compiler serves
     // retained intermediates in place of their subtrees.
     state.release_reservations(&ctx.governor);
-    let (rows, collected) = match run(plan, db, catalog, env, &exec_bindings, ctx, sink) {
+    let drained = match run(plan, db, catalog, env, &exec_bindings, ctx, sink) {
         Ok(drained) => drained,
         Err(e) if e.is_retryable() && replanned => {
             // Last rung before governed failure: suppress the
@@ -765,7 +764,7 @@ pub(crate) fn drive(
     let startup =
         evaluate_startup_observed(plan, catalog, env, &exec_bindings, &state.observations());
     let report = state.report();
-    Ok((rows, collected, Some(ReoptOutcome { startup, report })))
+    Ok((drained, Some(ReoptOutcome { startup, report })))
 }
 
 #[cfg(test)]

@@ -452,14 +452,6 @@ pub fn merge_distributed(coord: &TraceReport, shards: &[TraceReport]) -> TraceRe
     }
 }
 
-fn cpu_delta(later: CpuCounters, earlier: CpuCounters) -> CpuCounters {
-    CpuCounters {
-        records: later.records - earlier.records,
-        compares: later.compares - earlier.compares,
-        hashes: later.hashes - earlier.hashes,
-    }
-}
-
 /// Decorator recording a [`SpanStats`] for the wrapped operator. Deltas
 /// are measured inclusively (the window around a call contains the whole
 /// subtree's work, like `total_cost`). The accumulated totals flush into
@@ -519,7 +511,7 @@ impl<'a> TracedExec<'a> {
         } else {
             self.local.next_wall_ns += wall;
         }
-        self.local.cpu += cpu_delta(self.counters.snapshot(), cpu_before);
+        self.local.cpu += self.counters.snapshot().since(&cpu_before);
         if let (Some(disk), Some(before)) = (self.disk.as_ref(), io_before) {
             self.local.io += disk.stats().since(&before);
         }

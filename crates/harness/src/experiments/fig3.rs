@@ -63,6 +63,9 @@ mod tests {
     use crate::experiments::run_query;
     use crate::params::ExperimentParams;
 
+    /// Interleaved repetitions behind each wall-clock comparison.
+    const REPETITIONS: usize = 5;
+
     #[test]
     fn dynamic_total_effort_wins_over_both() {
         // The paper's claim: over many invocations,
@@ -72,9 +75,17 @@ mod tests {
             with_memory_uncertainty: false,
             ..ExperimentParams::paper()
         };
-        let r = run_query(2, &params);
-        let total_static = r.static_sel.optimize_seconds + r.static_sel.runtime_effort();
-        let total_dynamic = r.dynamic_sel.optimize_seconds + r.dynamic_sel.runtime_effort();
+        // The optimization and start-up times are wall-clock
+        // measurements: each is the minimum over interleaved repetitions
+        // (every repetition times all scenarios), so one scheduling hiccup
+        // on a busy host cannot flip a comparison. The modeled terms
+        // (activation, predicted execution) are identical across them.
+        let reps: Vec<QueryResults> = (0..REPETITIONS).map(|_| run_query(2, &params)).collect();
+        let min = |f: fn(&QueryResults) -> f64| reps.iter().map(f).fold(f64::INFINITY, f64::min);
+        let r = &reps[0];
+        let total_static = min(|q| q.static_sel.optimize_seconds) + r.static_sel.runtime_effort();
+        let total_dynamic =
+            min(|q| q.dynamic_sel.optimize_seconds) + r.dynamic_sel.runtime_effort();
         assert!(
             total_dynamic < total_static,
             "dynamic {total_dynamic} vs static {total_static}"
@@ -82,16 +93,16 @@ mod tests {
         // vs run-time optimization, compare measured CPU effort (see the
         // fig8 measurement note): e + N*f_cpu + sum(g) < N*a + sum(d).
         let n = 25.0;
-        let dynamic_cpu = r.dynamic_sel.optimize_seconds
-            + n * r.dynamic_sel.measured_startup_cpu
+        let dynamic_cpu = min(|q| q.dynamic_sel.optimize_seconds)
+            + n * min(|q| q.dynamic_sel.measured_startup_cpu)
             + r.dynamic_sel.exec_seconds.iter().sum::<f64>();
-        let runtime_cpu =
-            n * r.runtime_sel.optimize_seconds + r.runtime_sel.exec_seconds.iter().sum::<f64>();
+        let runtime_cpu = n * min(|q| q.runtime_sel.optimize_seconds)
+            + r.runtime_sel.exec_seconds.iter().sum::<f64>();
         assert!(
             dynamic_cpu < runtime_cpu,
             "dynamic CPU effort {dynamic_cpu} vs run-time opt {runtime_cpu}"
         );
-        let t = table(&r);
+        let t = table(r);
         assert_eq!(t.len(), 3);
         assert!(t.render().contains("run-time opt"));
     }

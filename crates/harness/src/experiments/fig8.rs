@@ -122,6 +122,9 @@ mod tests {
     use crate::experiments::run_query;
     use crate::params::ExperimentParams;
 
+    /// Interleaved repetitions behind each wall-clock comparison.
+    const REPETITIONS: usize = 5;
+
     #[test]
     fn dynamic_execution_matches_runtime_opt_execution() {
         let params = ExperimentParams {
@@ -151,13 +154,17 @@ mod tests {
             with_memory_uncertainty: false,
             ..ExperimentParams::paper()
         };
-        let results = vec![run_query(3, &params)];
-        let r = &rows(&results)[0];
+        // Both sides are wall-clock measurements: take each one's minimum
+        // over interleaved repetitions (every repetition times both), so
+        // one scheduling hiccup on a busy host cannot flip the comparison.
+        let results: Vec<_> = (0..REPETITIONS).map(|_| run_query(3, &params)).collect();
+        let reps = rows(&results);
+        let min = |f: fn(&Fig8Row) -> f64| reps.iter().map(f).fold(f64::INFINITY, f64::min);
+        let startup = min(|r| r.dynamic_startup_cpu);
+        let optimize = min(|r| r.runtime_opt_seconds);
         assert!(
-            r.dynamic_startup_cpu < r.runtime_opt_seconds,
-            "f_cpu {} should be below a {}",
-            r.dynamic_startup_cpu,
-            r.runtime_opt_seconds
+            startup < optimize,
+            "f_cpu {startup} should be below a {optimize}"
         );
     }
 }

@@ -20,27 +20,40 @@
 //!
 //! Joins run as hash-repartitioning exchange stages: both sides are
 //! routed with the batched multiply-xor kernel
-//! ([`dqep_executor::shard_route`]) on the join key, so co-partitioning
-//! is guaranteed by construction and the union of shard-local joins is
-//! exactly the global join. Batches travel as length-prefixed columnar
-//! frames over a simulated network ([`SimNet`]) with per-link pacing,
-//! deterministic fault injection, and credit-based backpressure; every
-//! byte is accounted. The final gather merges order-preservingly (k-way
-//! merge by the `ORDER BY` column) or deterministically concatenates in
-//! shard order.
+//! ([`dqep_executor::shard_route`]) on the first join key, so
+//! co-partitioning is guaranteed by construction and the union of
+//! shard-local joins is exactly the global join; further equi-join
+//! predicates between the two sides are extra keys of the same join.
+//! Batches travel as length-prefixed columnar frames over a simulated
+//! network ([`SimNet`]) with per-link pacing, deterministic fault
+//! injection, and credit-based backpressure; every byte is accounted.
+//! The final gather merges order-preservingly (k-way merge by the
+//! `ORDER BY` column) or deterministically concatenates in shard order.
+//!
+//! The data path is columnar end to end: access stages hand over the
+//! executor root's [`RowBatch`]es ([`Sink::Batches`]), the scatter
+//! extends per-destination batches column by column, received frames
+//! stay decoded batches, the shard-local join is the executor's batch
+//! hash join kernel ([`join_batches`]), the `ORDER BY` sort is a stable
+//! permutation gathered column-wise, and the gather ships dense
+//! [`BATCH_CAPACITY`]-row frames. Rows become tuples exactly once, when
+//! the coordinator materializes [`ShardOutcome::rows`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
+use std::time::Instant;
+
 use dqep_algebra::LogicalExpr;
 use dqep_catalog::{AttrId, Catalog, RelationId};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    credit_frames, decode_frame_traced, encode_frame_traced, execute, journal, merge_distributed,
-    presized_batch, scatter_by_shard, ChooseAudit, EventKind, ExecContext, ExecError, ExecMode,
-    FrameTrace, LinkFaultPlan, NetChannel, NetConfig, NetSpanStats, NetStats, ReoptConfig,
-    ReoptState, ResourceLimits, RowBatch, SharedCounters, SimNet, Sink, SpanId, SpanStats,
-    TraceReport, Tracer, Tuple, TupleLayout, BATCH_CAPACITY, NO_ID,
+    credit_frames, decode_frame_traced, encode_frame_traced, execute, join_batches, journal,
+    merge_distributed, presized_batch, scatter_by_shard, BuildSide, ChooseAudit, EventKind,
+    ExecContext, ExecError, ExecMode, FrameTrace, JoinInput, LinkFaultPlan, NetChannel, NetConfig,
+    NetSpanStats, NetStats, ReoptConfig, ReoptState, ResourceLimits, RowBatch, SharedCounters,
+    SimNet, Sink, SpanId, SpanStats, TraceReport, Tracer, Tuple, TupleLayout, BATCH_CAPACITY,
+    NO_ID,
 };
 use dqep_plan::{evaluate_startup, PlanNode};
 use dqep_sql::{parse_query, ParsedPredicate};
@@ -233,12 +246,11 @@ struct DistPlan {
 }
 
 /// One repartitioning join stage: the accumulated left side joins
-/// `rels[index + 1]` on `left_attr = right_attr`; any further equi-join
-/// predicates between the two sides apply as residual filters.
+/// `rels[index + 1]` on every `(left, right)` equi-join predicate between
+/// the two sides. Both sides repartition on the first pair; the others
+/// (residual predicates) are further keys of the same hash join.
 struct JoinStage {
-    left_attr: AttrId,
-    right_attr: AttrId,
-    residual: Vec<(AttrId, AttrId)>,
+    keys: Vec<(AttrId, AttrId)>,
 }
 
 /// Per-stage channel fan-out/fan-in of one shard. `None` marks the
@@ -534,17 +546,13 @@ impl ShardedService {
                     }
                 }
             }
-            let Some(&(left_attr, right_attr)) = applicable.first() else {
+            if applicable.is_empty() {
                 return Err(ServiceError::Sql(format!(
                     "sharded execution needs an equi-join predicate connecting relation {next} \
                      to the preceding FROM relations (cross products are not distributed)"
                 )));
-            };
-            joins.push(JoinStage {
-                left_attr,
-                right_attr,
-                residual: applicable[1..].to_vec(),
-            });
+            }
+            joins.push(JoinStage { keys: applicable });
         }
         Ok(DistPlan { rels, access, joins, order_by })
     }
@@ -610,27 +618,11 @@ impl ShardedService {
 
             // The coordinator gathers while the shards run; draining one
             // link fully before the next keeps the merge deterministic.
-            let mut per_shard: Vec<Result<Vec<Tuple>, ExecError>> = Vec::with_capacity(n);
+            let mut per_shard: Vec<Result<Vec<RowBatch>, ExecError>> = Vec::with_capacity(n);
             for rx in &gather_rx {
-                let mut rows = Vec::new();
-                let mut err = None;
-                let mut recv = RecvTrace::default();
-                while let Some(frame) = rx.recv() {
-                    if err.is_some() {
-                        continue; // keep draining so senders never block
-                    }
-                    match decode_frame_traced(&frame) {
-                        Ok((batch, ft)) => {
-                            recv.observe(&batch, ft);
-                            rows.extend(batch.iter());
-                        }
-                        Err(e) => err = Some(e),
-                    }
-                }
-                if let Some(tracer) = coord_tracer.as_ref() {
-                    recv.flush(tracer, coord_root, rx);
-                }
-                per_shard.push(err.map_or(Ok(rows), Err));
+                let mut batches = Vec::new();
+                let received = receive(rx, coord_tracer.as_deref(), coord_root, &mut batches);
+                per_shard.push(received.map(|()| batches));
             }
             let runs: Vec<Result<ShardRun, ExecError>> = handles
                 .into_iter()
@@ -648,25 +640,30 @@ impl ShardedService {
         for (s, run) in runs.into_iter().enumerate() {
             let run = run.map_err(ServiceError::Exec)?;
             let rows = match per_shard[s].as_ref() {
-                Ok(rows) => rows,
+                Ok(batches) => live_rows(batches),
                 Err(e) => return Err(ServiceError::Exec(e.clone())),
             };
-            debug_assert_eq!(rows.len() as u64, run.rows_out, "gather lost frames");
+            debug_assert_eq!(rows, run.rows_out, "gather lost frames");
             fallbacks += run.fallbacks;
             let mut shard_audits = tracers[s].report().audits;
             shard_audits.extend(run.synth_audits);
             audits.push(shard_audits);
-            shard_rows.push(rows.len() as u64);
+            shard_rows.push(rows);
         }
-        let per_shard: Vec<Vec<Tuple>> = per_shard
+        let per_shard: Vec<Vec<RowBatch>> = per_shard
             .into_iter()
             .map(|r| r.unwrap_or_default()) // errors already returned above
             .collect();
 
+        // The one place rows become tuples: the public result.
         let layout = canonical_layout(&self.catalog, &plan.rels);
         let rows = match plan.order_by {
-            Some(attr) => kway_merge(per_shard, layout.require(attr)),
-            None => per_shard.concat(),
+            Some(attr) => kway_merge(&per_shard, layout.require(attr)),
+            None => {
+                let mut rows = Vec::with_capacity(shard_rows.iter().sum::<u64>() as usize);
+                rows.extend(per_shard.iter().flatten().flat_map(RowBatch::iter));
+                rows
+            }
         };
 
         let mut winners_by_node: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
@@ -805,28 +802,39 @@ fn collect_relations(expr: &LogicalExpr, out: &mut Vec<RelationId>) {
     }
 }
 
-/// Order-preserving k-way merge of per-shard runs already sorted on
-/// column `key`; ties resolve by shard index, so the merge is fully
-/// deterministic.
-fn kway_merge(mut runs: Vec<Vec<Tuple>>, key: usize) -> Vec<Tuple> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut heads = vec![0usize; runs.len()];
-    let mut out = Vec::with_capacity(total);
+/// Order-preserving k-way merge of per-shard runs of batches already
+/// sorted on column `key`, materializing the merged rows; ties resolve by
+/// shard index, so the merge is fully deterministic.
+fn kway_merge(runs: &[Vec<RowBatch>], key: usize) -> Vec<Tuple> {
+    let total: u64 = runs.iter().map(|run| live_rows(run)).sum();
+    // Per run: (batch, live position within it).
+    let mut heads = vec![(0usize, 0usize); runs.len()];
+    let mut out = Vec::with_capacity(total as usize);
     loop {
-        let mut best: Option<(i64, usize)> = None;
+        let mut best: Option<(i64, usize, usize)> = None;
         for (s, run) in runs.iter().enumerate() {
-            if let Some(row) = run.get(heads[s]) {
-                let k = row[key];
-                if best.is_none_or(|(bk, _)| k < bk) {
-                    best = Some((k, s));
-                }
+            let (b, pos) = &mut heads[s];
+            while run.get(*b).is_some_and(|batch| *pos >= batch.len()) {
+                (*b, *pos) = (*b + 1, 0);
+            }
+            let Some(batch) = run.get(*b) else { continue };
+            let phys = batch.selection().map_or(*pos, |sel| sel[*pos] as usize);
+            let k = batch.column(key)[phys];
+            if best.is_none_or(|(bk, _, _)| k < bk) {
+                best = Some((k, s, phys));
             }
         }
-        let Some((_, s)) = best else { break };
-        out.push(std::mem::take(&mut runs[s][heads[s]]));
-        heads[s] += 1;
+        let Some((_, s, phys)) = best else { break };
+        let (b, pos) = &mut heads[s];
+        out.push(runs[s][*b].row_vec(phys));
+        *pos += 1;
     }
     out
+}
+
+/// Live rows across `batches`.
+fn live_rows(batches: &[RowBatch]) -> u64 {
+    batches.iter().map(|b| b.len() as u64).sum()
 }
 
 /// The body of one shard worker: local access stages with shard-local
@@ -872,7 +880,7 @@ fn run_shard(
 
     for (j, stage) in plan.joins.iter().enumerate() {
         let right_rel = plan.rels[j + 1];
-        let right_rows = run_access(
+        let right = run_access(
             shard,
             &plan.access[j + 1],
             env,
@@ -883,13 +891,17 @@ fn run_shard(
             &mut synth_audits,
         )?;
         let right_layout = TupleLayout::base(&shard.catalog, right_rel);
-        let lkey = layout.require(stage.left_attr);
-        let rkey = right_layout.require(stage.right_attr);
+        let keys: Vec<(usize, usize)> = stage
+            .keys
+            .iter()
+            .map(|&(la, ra)| (layout.require(la), right_layout.require(ra)))
+            .collect();
+        let (lkey, rkey) = keys[0];
 
         let stage_wires = &wires.stages[j];
         let left_mine = repartition(
             s,
-            current,
+            &current,
             layout.width(),
             lkey,
             &stage_wires.left_out,
@@ -900,7 +912,7 @@ fn run_shard(
         )?;
         let right_mine = repartition(
             s,
-            right_rows,
+            &right,
             right_layout.width(),
             rkey,
             &stage_wires.right_out,
@@ -909,25 +921,124 @@ fn run_shard(
             &tracer,
             root,
         )?;
-        current = local_hash_join(&left_mine, lkey, &right_mine, rkey, &ctx)?;
+        let left_in = JoinInput {
+            batches: &left_mine,
+            width: layout.width(),
+        };
+        let right_in = JoinInput {
+            batches: &right_mine,
+            width: right_layout.width(),
+        };
+        current = traced_stage(
+            &ctx,
+            root,
+            "Hash-Join",
+            || format!("Hash-Join[stage {j}]"),
+            || local_hash_join(left_in, right_in, &keys, &ctx),
+            |joined| joined,
+        )?;
         layout = layout.concat(&right_layout);
-        for &(la, ra) in &stage.residual {
-            let (lp, rp) = (layout.require(la), layout.require(ra));
-            current.retain(|row| row[lp] == row[rp]);
-        }
     }
 
     if let Some(attr) = plan.order_by {
-        let c = layout.require(attr);
-        current.sort_by_key(|row| row[c]);
+        let (c, width) = (layout.require(attr), layout.width());
+        current = traced_stage(
+            &ctx,
+            root,
+            "Sort",
+            || format!("Sort[#{c}]"),
+            || Ok(sort_order(&current, c)),
+            |order| gather_sorted(&current, &order, width),
+        )?;
     }
 
     send_rows(&wires.gather, &current, layout.width(), metrics, &tracer, root)?;
     Ok(ShardRun {
-        rows_out: current.len() as u64,
+        rows_out: live_rows(&current),
         fallbacks: ctx.counters.fallbacks(),
         synth_audits,
     })
+}
+
+/// Runs one blocking shard-local operator — the join or the `ORDER BY`
+/// sort — in two phases: `open` does the work, `next` delivers the
+/// output batches. When the context's tracer records spans, the operator
+/// gets a span of `kind` under `parent` (the shard root) with the two
+/// phases' wall times, its output rows and batches, and the CPU counters
+/// it charged, so a traced run attributes its time like an executor
+/// operator's.
+fn traced_stage<T>(
+    ctx: &ExecContext,
+    parent: Option<SpanId>,
+    kind: &'static str,
+    label: impl FnOnce() -> String,
+    open: impl FnOnce() -> Result<T, ExecError>,
+    next: impl FnOnce(T) -> Vec<RowBatch>,
+) -> Result<Vec<RowBatch>, ExecError> {
+    let Some(tracer) = ctx.tracer.as_ref().filter(|t| t.records_spans()) else {
+        return open().map(next);
+    };
+    let span = tracer.span(label(), kind, None, None, parent, 1);
+    let cpu_before = ctx.counters.snapshot();
+    let elapsed_ns = |t: Instant| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let started = Instant::now();
+    let opened = open();
+    let mut stats = SpanStats {
+        opens: 1,
+        open_wall_ns: elapsed_ns(started),
+        ..SpanStats::default()
+    };
+    let result = opened.map(|state| {
+        let started = Instant::now();
+        let out = next(state);
+        stats.next_wall_ns = elapsed_ns(started);
+        stats.rows = live_rows(&out);
+        stats.batches = out.len() as u64;
+        out
+    });
+    stats.errors = u64::from(result.is_err());
+    stats.cpu = ctx.counters.snapshot().since(&cpu_before);
+    stats.mem_peak = ctx.governor.memory_peak();
+    tracer.merge_span(span, &stats);
+    result
+}
+
+/// The `ORDER BY` permutation: every live row of `batches` as (key,
+/// batch, physical row), stably sorted on column `key` — rows with equal
+/// keys keep their arrival order.
+fn sort_order(batches: &[RowBatch], key: usize) -> Vec<(i64, u32, u32)> {
+    let mut order = Vec::with_capacity(live_rows(batches) as usize);
+    for (b, batch) in batches.iter().enumerate() {
+        let col = batch.column(key);
+        order.extend(
+            batch
+                .selected_indices()
+                .map(|i| (col[i], b as u32, i as u32)),
+        );
+    }
+    order.sort_by_key(|&(k, _, _)| k);
+    order
+}
+
+/// Gathers `batches` in permutation `order` into dense batches of
+/// [`BATCH_CAPACITY`] rows, column by column.
+fn gather_sorted(batches: &[RowBatch], order: &[(i64, u32, u32)], width: usize) -> Vec<RowBatch> {
+    order
+        .chunks(BATCH_CAPACITY)
+        .map(|chunk| {
+            let mut out = RowBatch::with_capacity(width, chunk.len());
+            out.extend_rows_with(chunk.len(), |cols| {
+                for (c, col) in cols.iter_mut().enumerate() {
+                    col.extend(
+                        chunk
+                            .iter()
+                            .map(|&(_, b, i)| batches[b as usize].column(c)[i as usize]),
+                    );
+                }
+            });
+            out
+        })
+        .collect()
 }
 
 /// Runs one per-relation access plan locally. The plan still carries its
@@ -947,7 +1058,7 @@ fn run_access(
     ctx: &ExecContext,
     metrics: &MetricsRegistry,
     synth_audits: &mut Vec<ChooseAudit>,
-) -> Result<Vec<Tuple>, ExecError> {
+) -> Result<Vec<RowBatch>, ExecError> {
     let ctx = match config.reopt {
         Some(reopt) => ctx.clone().with_reopt(Arc::new(ReoptState::new(reopt))),
         None => ctx.clone(),
@@ -959,7 +1070,7 @@ fn run_access(
         env,
         bindings,
         &ctx,
-        Sink::Collect,
+        Sink::Batches,
     )?;
     if let Some(outcome) = &exec.reopt {
         metrics.record_reopt(&outcome.report.counters);
@@ -976,19 +1087,21 @@ fn run_access(
             });
         }
     }
-    Ok(exec.rows)
+    Ok(exec.batches)
 }
 
-/// One repartitioning exchange: hash-scatters `rows` on `key` across all
-/// shards, sending cross-shard partitions as columnar frames and keeping
-/// the self-partition local. A dedicated sender thread keeps this shard
-/// receiving while it sends, so bounded credits can never deadlock the
-/// all-to-all: receivers are always live, and the sender closes its
-/// links the moment it finishes.
+/// One repartitioning exchange: hash-scatters `batches` on `key` across
+/// all shards, sending cross-shard partitions as columnar frames and
+/// keeping the self-partition local. Returns this shard's partition as
+/// batches: the received ones (link by link, in arrival order), then the
+/// local ones. A dedicated sender thread keeps this shard receiving while
+/// it sends, so bounded credits can never deadlock the all-to-all:
+/// receivers are always live, and the sender closes its links the moment
+/// it finishes.
 #[allow(clippy::too_many_arguments)]
 fn repartition(
     s: usize,
-    rows: Vec<Tuple>,
+    batches: &[RowBatch],
     width: usize,
     key: usize,
     outs: &[Option<NetChannel>],
@@ -996,32 +1109,21 @@ fn repartition(
     metrics: &MetricsRegistry,
     tracer: &Arc<Tracer>,
     parent: Option<SpanId>,
-) -> Result<Vec<Tuple>, ExecError> {
+) -> Result<Vec<RowBatch>, ExecError> {
     std::thread::scope(|scope| {
         let sender = scope.spawn(|| {
-            let result = send_partitions(s, &rows, width, key, outs, metrics, tracer, parent);
+            let result = send_partitions(s, batches, width, key, outs, metrics, tracer, parent);
             for ch in outs.iter().flatten() {
                 ch.close();
             }
             result
         });
-        let mut mine: Vec<Tuple> = Vec::new();
+        let mut mine: Vec<RowBatch> = Vec::new();
         let mut recv_err: Option<ExecError> = None;
         for ch in ins.iter().flatten() {
-            let mut recv = RecvTrace::default();
-            while let Some(frame) = ch.recv() {
-                if recv_err.is_some() {
-                    continue; // drain so peers never block on a dead link
-                }
-                match decode_frame_traced(&frame) {
-                    Ok((batch, ft)) => {
-                        recv.observe(&batch, ft);
-                        mine.extend(batch.iter());
-                    }
-                    Err(e) => recv_err = Some(e),
-                }
+            if let Err(e) = receive(ch, Some(tracer), parent, &mut mine) {
+                recv_err.get_or_insert(e);
             }
-            recv.flush(tracer, parent, ch);
         }
         let local = sender
             .join()
@@ -1034,84 +1136,128 @@ fn repartition(
     })
 }
 
-/// Scatter-and-send half of [`repartition`]: batches rows, routes each
-/// batch with the multiply-xor kernel, flushes full per-destination
-/// batches as frames, and returns the self-partition. Destination
-/// batches are pre-sized from the expected per-shard share.
+/// Drains one incoming link, appending its decoded batches to `out`.
+/// After a malformed frame the link is still drained, so its sender never
+/// blocks on a dead receiver, and the first error is returned. When
+/// `tracer` records spans, the link's receive span lands under `parent`.
+fn receive(
+    ch: &NetChannel,
+    tracer: Option<&Tracer>,
+    parent: Option<SpanId>,
+    out: &mut Vec<RowBatch>,
+) -> Result<(), ExecError> {
+    let mut err = None;
+    let mut recv = RecvTrace::default();
+    while let Some(frame) = ch.recv() {
+        if err.is_some() {
+            continue;
+        }
+        match decode_frame_traced(&frame) {
+            Ok((batch, ft)) => {
+                recv.observe(&batch, ft);
+                out.push(batch);
+            }
+            Err(e) => err = Some(e),
+        }
+    }
+    if let Some(tracer) = tracer {
+        recv.flush(tracer, parent, ch);
+    }
+    err.map_or(Ok(()), Err)
+}
+
+/// Opens this shard's send span on `ch` at its first frame when the
+/// tracer records spans, so the span id can ride in every frame header.
+fn send_span(
+    span: &mut Option<SpanId>,
+    ch: &NetChannel,
+    tracer: &Tracer,
+    parent: Option<SpanId>,
+) -> Option<SpanId> {
+    tracer.records_spans().then(|| {
+        *span.get_or_insert_with(|| {
+            tracer.span(
+                format!("Net-Send {}->{}", ch.from_node(), ch.to_node()),
+                "Net-Send",
+                None,
+                None,
+                parent,
+                1,
+            )
+        })
+    })
+}
+
+/// Encodes `batch` as one frame stamped with the trace context and sends
+/// it, feeding any credit wait into the queue-wait histogram.
+fn send_frame(
+    ch: &NetChannel,
+    batch: &RowBatch,
+    tracer: &Tracer,
+    span: Option<SpanId>,
+    metrics: &MetricsRegistry,
+) -> Result<(), ExecError> {
+    let frame = encode_frame_traced(
+        batch,
+        FrameTrace {
+            trace_id: tracer.trace_id(),
+            span: span.map(|sp| sp.0 as u64),
+        },
+    );
+    let waited = ch.send(frame)?;
+    if !waited.is_zero() {
+        metrics.net_queue_wait.record(waited);
+    }
+    Ok(())
+}
+
+/// Scatter-and-send half of [`repartition`]: routes each input batch
+/// column-wise with the multiply-xor kernel, flushes per-destination
+/// batches as frames once they reach [`BATCH_CAPACITY`] rows, and returns
+/// the self-partition's batches. Destination batches are pre-sized from
+/// the expected per-shard share.
 #[allow(clippy::too_many_arguments)]
 fn send_partitions(
     s: usize,
-    rows: &[Tuple],
+    batches: &[RowBatch],
     width: usize,
     key: usize,
     outs: &[Option<NetChannel>],
     metrics: &MetricsRegistry,
     tracer: &Arc<Tracer>,
     parent: Option<SpanId>,
-) -> Result<Vec<Tuple>, ExecError> {
+) -> Result<Vec<RowBatch>, ExecError> {
     let shards = outs.len();
-    let per_shard = (rows.len() / shards.max(1)).max(1) as u64;
-    let mut dest: Vec<RowBatch> = (0..shards)
-        .map(|_| presized_batch(width, Some(per_shard)))
-        .collect();
-    let mut local: Vec<Tuple> = Vec::with_capacity(per_shard as usize);
-    let mut input = RowBatch::with_capacity(width, BATCH_CAPACITY);
+    let per_shard = (live_rows(batches) / shards.max(1) as u64).max(1);
+    let fresh = || presized_batch(width, Some(per_shard));
+    let mut dest: Vec<RowBatch> = (0..shards).map(|_| fresh()).collect();
+    let mut local: Vec<RowBatch> = Vec::new();
     let (mut hashes, mut dests) = (Vec::new(), Vec::new());
-    // One send span per destination link, opened lazily at the first
-    // frame so the span id can ride in every frame header.
     let mut spans: Vec<Option<SpanId>> = vec![None; shards];
-    let flush = |t: usize,
-                 batch: &mut RowBatch,
-                 local: &mut Vec<Tuple>,
-                 spans: &mut Vec<Option<SpanId>>|
-     -> Result<(), ExecError> {
+    let mut flush = |t: usize, batch: &mut RowBatch| -> Result<(), ExecError> {
         if batch.rows() == 0 {
             return Ok(());
         }
         if t == s {
-            local.extend(batch.iter());
+            local.push(std::mem::replace(batch, fresh()));
         } else if let Some(ch) = &outs[t] {
-            let span = if tracer.records_spans() {
-                Some(*spans[t].get_or_insert_with(|| {
-                    tracer.span(
-                        format!("Net-Send {s}->{t}"),
-                        "Net-Send",
-                        None,
-                        None,
-                        parent,
-                        1,
-                    )
-                }))
-            } else {
-                None
-            };
-            let frame = encode_frame_traced(
-                batch,
-                FrameTrace { trace_id: tracer.trace_id(), span: span.map(|sp| sp.0 as u64) },
-            );
-            let waited = ch.send(frame)?;
-            if !waited.is_zero() {
-                metrics.net_queue_wait.record(waited);
-            }
+            let span = send_span(&mut spans[t], ch, tracer, parent);
+            send_frame(ch, batch, tracer, span, metrics)?;
+            batch.clear();
         }
-        batch.clear();
         Ok(())
     };
     let result = (|| {
-        for chunk in rows.chunks(BATCH_CAPACITY) {
-            input.clear();
-            for row in chunk {
-                input.push_row(row);
-            }
-            scatter_by_shard(&input, &[key], &mut dest, &mut hashes, &mut dests);
+        for input in batches {
+            scatter_by_shard(input, &[key], &mut dest, &mut hashes, &mut dests);
             for (t, batch) in dest.iter_mut().enumerate() {
                 if batch.rows() >= BATCH_CAPACITY {
-                    flush(t, batch, &mut local, &mut spans)?;
+                    flush(t, batch)?;
                 }
             }
         }
         for (t, batch) in dest.iter_mut().enumerate() {
-            flush(t, batch, &mut local, &mut spans)?;
+            flush(t, batch)?;
         }
         Ok(())
     })();
@@ -1145,45 +1291,42 @@ fn send_net_stats(ch: &NetChannel) -> NetSpanStats {
     }
 }
 
-/// Streams result rows over the gather link as columnar frames.
+/// Streams result batches over the gather link as dense columnar frames
+/// of [`BATCH_CAPACITY`] rows (the last one shorter): full dense batches
+/// go out as they are, anything else is re-chunked column-wise.
 fn send_rows(
     ch: &NetChannel,
-    rows: &[Tuple],
+    batches: &[RowBatch],
     width: usize,
     metrics: &MetricsRegistry,
     tracer: &Arc<Tracer>,
     parent: Option<SpanId>,
 ) -> Result<(), ExecError> {
-    let mut batch = RowBatch::with_capacity(width, BATCH_CAPACITY);
     let mut span: Option<SpanId> = None;
+    let mut send = |batch: &RowBatch| {
+        let sp = send_span(&mut span, ch, tracer, parent);
+        send_frame(ch, batch, tracer, sp, metrics)
+    };
     let result = (|| {
-        for chunk in rows.chunks(BATCH_CAPACITY) {
-            batch.clear();
-            for row in chunk {
-                batch.push_row(row);
+        let mut acc = RowBatch::with_capacity(width, BATCH_CAPACITY);
+        for batch in batches {
+            if acc.rows() == 0 && batch.selection().is_none() && batch.rows() == BATCH_CAPACITY {
+                send(batch)?;
+                continue;
             }
-            let sp = if tracer.records_spans() {
-                Some(*span.get_or_insert_with(|| {
-                    tracer.span(
-                        format!("Net-Send {}->{}", ch.from_node(), ch.to_node()),
-                        "Net-Send",
-                        None,
-                        None,
-                        parent,
-                        1,
-                    )
-                }))
-            } else {
-                None
-            };
-            let frame = encode_frame_traced(
-                &batch,
-                FrameTrace { trace_id: tracer.trace_id(), span: sp.map(|sp| sp.0 as u64) },
-            );
-            let waited = ch.send(frame)?;
-            if !waited.is_zero() {
-                metrics.net_queue_wait.record(waited);
+            let mut pos = 0;
+            while pos < batch.len() {
+                let take = (BATCH_CAPACITY - acc.rows()).min(batch.len() - pos);
+                acc.extend_from_live(batch, pos..pos + take);
+                pos += take;
+                if acc.rows() == BATCH_CAPACITY {
+                    send(&acc)?;
+                    acc.clear();
+                }
             }
+        }
+        if acc.rows() > 0 {
+            send(&acc)?;
         }
         Ok(())
     })();
@@ -1193,34 +1336,34 @@ fn send_rows(
     result
 }
 
-/// Shard-local in-memory hash join of two co-partitioned row sets,
-/// emitting `left ⊗ right` concatenations. The build side is the
-/// smaller input; its hash table memory is reserved with the shard's
-/// governor, and a refusal degrades to a **chunked build** (the build
-/// side is processed in grant-sized pieces, re-scanning the probe side
-/// per piece) instead of failing — counted as one fallback, the same
-/// graceful-degradation contract choose-plan gives retryable opens.
+/// Shard-local hash join of two co-partitioned inputs through the
+/// executor's batch join kernel ([`join_batches`]), emitting `left ⊗
+/// right`. The build side is the smaller input; its hash table memory is
+/// reserved with the shard's governor, and a refusal degrades (/2, /4,
+/// /8) to a **chunked build** — the build side hashed in grant-sized
+/// pieces, each probed by the whole other input — instead of failing,
+/// counted as one fallback: the same graceful-degradation contract
+/// choose-plan gives retryable opens.
 fn local_hash_join(
-    left: &[Tuple],
-    lkey: usize,
-    right: &[Tuple],
-    rkey: usize,
+    left: JoinInput<'_>,
+    right: JoinInput<'_>,
+    keys: &[(usize, usize)],
     ctx: &ExecContext,
-) -> Result<Vec<Tuple>, ExecError> {
-    let build_left = left.len() <= right.len();
-    let (build, bkey, probe, pkey) = if build_left {
-        (left, lkey, right, rkey)
+) -> Result<Vec<RowBatch>, ExecError> {
+    let (left_rows, right_rows) = (live_rows(left.batches), live_rows(right.batches));
+    let (build, build_rows, build_width) = if left_rows <= right_rows {
+        (BuildSide::Left, left_rows, left.width)
     } else {
-        (right, rkey, left, lkey)
+        (BuildSide::Right, right_rows, right.width)
     };
-    // Per-row footprint: the key map entry plus the row reference.
-    let bytes_per_row = (build.first().map_or(0, Vec::len) * 8 + 48) as u64;
-    let full = (build.len() as u64).saturating_mul(bytes_per_row).max(1);
+    // Per-row footprint: the row's columns plus its table entry.
+    let bytes_per_row = (build_width * 8 + 48) as u64;
+    let full = build_rows.saturating_mul(bytes_per_row).max(1);
 
     let mut granted = 0u64;
     let mut refusal = None;
     for divisor in [1u64, 2, 4, 8] {
-        let ask = (full / divisor).max(bytes_per_row.max(1));
+        let ask = (full / divisor).max(bytes_per_row);
         match ctx.governor.try_reserve_memory(ask) {
             Ok(()) => {
                 granted = ask;
@@ -1238,30 +1381,10 @@ fn local_hash_join(
     if granted < full {
         ctx.counters.add_fallbacks(1);
     }
-
-    let chunk_rows = ((granted / bytes_per_row.max(1)).max(1) as usize).min(build.len().max(1));
-    let mut out = Vec::new();
-    for build_chunk in build.chunks(chunk_rows) {
-        let mut table: HashMap<i64, Vec<&Tuple>> = HashMap::with_capacity(build_chunk.len());
-        for row in build_chunk {
-            table.entry(row[bkey]).or_default().push(row);
-        }
-        for probe_row in probe {
-            if let Some(matches) = table.get(&probe_row[pkey]) {
-                for &build_row in matches {
-                    let (l, r) = if build_left {
-                        (build_row, probe_row)
-                    } else {
-                        (probe_row, build_row)
-                    };
-                    let mut joined = Vec::with_capacity(l.len() + r.len());
-                    joined.extend_from_slice(l);
-                    joined.extend_from_slice(r);
-                    out.push(joined);
-                }
-            }
-        }
-    }
+    let chunk_rows = usize::try_from(granted / bytes_per_row)
+        .unwrap_or(usize::MAX)
+        .max(1);
+    let out = join_batches(left, right, keys, build, chunk_rows, &ctx.counters);
     ctx.governor.release_memory(granted);
     Ok(out)
 }
@@ -1540,14 +1663,74 @@ mod tests {
     }
 
     #[test]
+    fn memory_ladder_degrades_to_a_chunked_build_with_one_fallback() {
+        // 600 build rows (the smaller, left side) with duplicate keys.
+        let left: Vec<[i64; 2]> = (0..600).map(|i| [i % 97, i]).collect();
+        let right: Vec<[i64; 2]> = (0..900).map(|i| [i % 89, -i]).collect();
+        let (left, right) = (batches(&[&left]), batches(&[&right]));
+        let join = |limit: Option<u64>| {
+            let limits = ResourceLimits {
+                memory_bytes: limit,
+                ..ResourceLimits::unlimited()
+            };
+            let ctx = ExecContext::with_limits(SharedCounters::new(), limits);
+            let out = local_hash_join(
+                JoinInput {
+                    batches: &left,
+                    width: 2,
+                },
+                JoinInput {
+                    batches: &right,
+                    width: 2,
+                },
+                &[(0, 0)],
+                &ctx,
+            );
+            assert_eq!(ctx.governor.memory_used(), 0, "the reservation is released");
+            out.map(|b| {
+                let mut rows: Vec<Tuple> = b.iter().flat_map(RowBatch::iter).collect();
+                rows.sort_unstable();
+                (rows, ctx.counters.fallbacks())
+            })
+        };
+        let (expected, fallbacks) = join(None).expect("unlimited join");
+        assert_eq!(fallbacks, 0);
+        assert!(expected
+            .iter()
+            .all(|r| r.len() == 4 && r[0] == r[2] && r[1] >= 0));
+        let full = 600 * (2 * 8 + 48);
+        for divisor in [2u64, 4, 8] {
+            let (rows, fallbacks) = join(Some(full / divisor)).expect("degraded join");
+            assert_eq!(rows, expected, "/{divisor}");
+            assert_eq!(fallbacks, 1, "one fallback at /{divisor}");
+        }
+        let refused = join(Some(full / 8 - 1)).expect_err("below the last rung");
+        assert!(refused.is_retryable(), "{refused:?}");
+    }
+
+    fn batches(runs: &[&[[i64; 2]]]) -> Vec<RowBatch> {
+        runs.iter()
+            .map(|rows| {
+                let mut b = RowBatch::new(2);
+                for row in *rows {
+                    b.push_row(row);
+                }
+                b
+            })
+            .collect()
+    }
+
+    #[test]
     fn kway_merge_is_ordered_and_complete() {
+        let mut filtered = batches(&[&[[0, 0], [4, 11], [5, 5]]]);
+        filtered[0].set_selection(vec![1]);
         let runs = vec![
-            vec![vec![1i64, 10], vec![4, 11]],
-            vec![vec![2i64, 20]],
-            vec![],
-            vec![vec![2i64, 30], vec![9, 31]],
+            [batches(&[&[[1, 10]]]), filtered].concat(),
+            batches(&[&[[2, 20]]]),
+            Vec::new(),
+            batches(&[&[], &[[2, 30], [9, 31]]]),
         ];
-        let merged = kway_merge(runs, 0);
+        let merged = kway_merge(&runs, 0);
         let keys: Vec<i64> = merged.iter().map(|r| r[0]).collect();
         assert_eq!(keys, vec![1, 2, 2, 4, 9]);
         // Ties resolve by shard index: shard 1's row precedes shard 3's.

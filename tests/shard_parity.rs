@@ -307,3 +307,57 @@ fn divergent_winners_are_audited_and_parity_preserving() {
         "winner choice never changes the result multiset"
     );
 }
+
+/// Residual join predicates — every equi-join predicate between a stage's
+/// two sides after the one both sides repartition on — against plain
+/// single-node execution: two predicates between the same pair of
+/// relations, and a 3-relation cycle whose closing predicate joins the
+/// third relation to both earlier ones. Each at shards {2, 4} in both
+/// execution modes.
+#[test]
+fn residual_join_predicates_match_single_node() {
+    let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
+        .relation("t0", 240, 512, |r| {
+            r.attr("a", 240.0)
+                .attr("j", 12.0)
+                .attr("k", 6.0)
+                .btree("a", false)
+        })
+        .relation("t1", 200, 512, |r| {
+            r.attr("a", 200.0).attr("j", 12.0).attr("k", 6.0)
+        })
+        .relation("t2", 160, 512, |r| {
+            r.attr("a", 160.0).attr("j", 12.0).attr("k", 6.0)
+        })
+        .build()
+        .expect("catalog");
+    let queries = [
+        "SELECT * FROM t0, t1 WHERE t0.j = t1.j AND t0.k = t1.k AND t0.a < :v0",
+        "SELECT * FROM t0, t1, t2 \
+         WHERE t0.j = t1.j AND t1.k = t2.k AND t0.k = t2.j AND t0.a < :v0",
+    ];
+    let binds = [("v0", 150i64)];
+    for sql in queries {
+        for shards in [2usize, 4] {
+            for mode in [ExecMode::Tuple, ExecMode::Batch] {
+                let config = ShardConfig {
+                    shards,
+                    exec_mode: mode,
+                    data_seed: 11,
+                    ..ShardConfig::default()
+                };
+                let out = ShardedService::new(catalog.clone(), config.clone())
+                    .execute(sql, &binds)
+                    .expect("sharded run");
+                let expected = single_node_rows(&catalog, sql, &binds, &config, &out.layout)
+                    .expect("single-node run");
+                assert!(!expected.is_empty(), "a vacuous case proves nothing: {sql}");
+                assert_eq!(
+                    sorted(out.rows),
+                    sorted(expected),
+                    "{sql} (shards={shards} mode={mode:?})"
+                );
+            }
+        }
+    }
+}
